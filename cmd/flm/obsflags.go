@@ -51,31 +51,28 @@ func startTrace(path string, out io.Writer) (stop func(), err error) {
 }
 
 // runExperiment runs one registered experiment, under tracing wrapped in
-// a "flm.experiment" span that books the run-cache and splice-cache
-// deltas this experiment alone produced (runcache.Stats.Since), so
-// consecutive experiments in `flm all` don't bleed counters into each
-// other's attribution.
+// a "flm.experiment" span that books the run-cache deltas this
+// experiment alone produced (runcache.Stats.Since), so consecutive
+// experiments in `flm all` don't bleed counters into each other's
+// attribution.
 func runExperiment(e flm.Experiment) (*flm.ExperimentResult, error) {
 	if !obs.Enabled() {
 		return e.Run()
 	}
-	runBefore, spliceBefore := flm.RunCacheStats(), flm.SpliceCacheStats()
+	runBefore := flm.RunCacheStats()
 	obs.SetProgressPhase(e.ID)
 	defer obs.SetProgressPhase("")
 	_, span := obs.StartSpan(context.Background(), "flm.experiment",
 		obs.Str("id", e.ID), obs.Str("name", e.Name))
 	res, err := e.Run()
 	rc := flm.RunCacheStats().Since(runBefore)
-	sc := flm.SpliceCacheStats().Since(spliceBefore)
 	span.SetAttrs(
 		obs.Int64("runcache_hits", int64(rc.Hits)),
 		obs.Int64("runcache_misses", int64(rc.Misses)),
 		obs.Int64("runcache_waits", int64(rc.Waits)),
 		obs.Int64("runcache_disk_hits", int64(rc.DiskHits)),
 		obs.Int64("runcache_evictions", int64(rc.Evictions)),
-		obs.F64("runcache_hit_rate", rc.HitRate()),
-		obs.Int64("splicecache_hits", int64(sc.Hits)),
-		obs.Int64("splicecache_misses", int64(sc.Misses)))
+		obs.F64("runcache_hit_rate", rc.HitRate()))
 	if err != nil {
 		span.SetAttrs(obs.Str("error", err.Error()))
 	}

@@ -21,7 +21,7 @@ import (
 //   - span-share   per-name share of total span time — percentage
 //                  points; skipped under -notiming since wall time is
 //                  machine-dependent even when behavior is identical
-//   - cache        run/splice served-rate ((hit+wait+disk)/lookups) —
+//   - cache        run-cache served-rate ((hit+wait+disk)/lookups) —
 //                  percentage points; the combined rate is deterministic
 //                  even though the hit/wait split depends on scheduling
 //   - traffic      total messages and bytes across sim.execute spans
@@ -140,19 +140,11 @@ func diffSummaries(old, cur *traceSummary, noTiming bool) []diffRow {
 		}
 	}
 
-	for _, c := range []struct {
-		name     string
-		old, cur map[string]int
-	}{
-		{"run-cache served-rate", old.execCache, cur.execCache},
-		{"splice-cache served-rate", old.spliceCache, cur.spliceCache},
-	} {
-		ro, rc := servedRate(c.old), servedRate(c.cur)
-		rows = append(rows, diffRow{
-			family: "cache", name: c.name,
-			old: ro, cur: rc, drift: math.Abs(rc - ro), unit: "pp",
-		})
-	}
+	ro, rc := servedRate(old.execCache), servedRate(cur.execCache)
+	rows = append(rows, diffRow{
+		family: "cache", name: "run-cache served-rate",
+		old: ro, cur: rc, drift: math.Abs(rc - ro), unit: "pp",
+	})
 
 	rows = addRel(rows, "traffic", "sim messages", float64(old.msgTotal), float64(cur.msgTotal))
 	rows = addRel(rows, "traffic", "sim bytes", float64(old.byteTotal), float64(cur.byteTotal))

@@ -180,7 +180,7 @@ func TestTraceContainsCoreSpans(t *testing.T) {
 			t.Fatalf("invalid line %q: %v", line, err)
 		}
 		seen[rec.Name]++
-		if rec.Name == "sim.execute" || rec.Name == "core.splice" {
+		if rec.Name == "sim.execute" {
 			if _, ok := rec.Attrs["cache"].(string); !ok {
 				t.Errorf("%s span lacks a cache attribute: %v", rec.Name, rec.Attrs)
 			}
@@ -210,7 +210,6 @@ func TestStatsCommand(t *testing.T) {
 	for _, want := range []string{
 		"hit rate",
 		"run cache",
-		"splice cache",
 		"no sweep activity",
 		"contradiction chains",
 		"sim.execute",

@@ -194,8 +194,7 @@ var (
 	FirstSweepError = sweep.FirstError
 )
 
-// RunCacheStatsReport is the hit/miss/entry counters of one memoization
-// cache (the execution cache or the splice cache).
+// RunCacheStatsReport is the execution cache's hit/miss/entry counters.
 type RunCacheStatsReport = runcache.Stats
 
 var (
@@ -203,9 +202,6 @@ var (
 	// identical (graph, devices, inputs, rounds, opts) executions are
 	// served from cache when every device is fingerprintable.
 	RunCacheStats = sim.RunCacheStats
-	// SpliceCacheStats reports the splice cache's counters: repeated
-	// scenario splices of the same covering run are served from cache.
-	SpliceCacheStats = core.SpliceCacheStats
 	// SetRunCacheEnabled overrides the FLM_RUNCACHE default (caches on
 	// unless FLM_RUNCACHE=off/0/false/no) and returns a restore func.
 	SetRunCacheEnabled = runcache.SetEnabled
@@ -232,11 +228,10 @@ var (
 	DefaultCacheDir = runcache.DefaultDir
 )
 
-// ResetRunCaches drops every memoized execution and splice, for tests
-// and for relieving memory pressure in very long sweeps.
+// ResetRunCaches drops every memoized execution, for tests and for
+// relieving memory pressure in very long sweeps.
 func ResetRunCaches() {
 	sim.ResetRunCache()
-	core.ResetSpliceCache()
 }
 
 // IsolatedSweep runs n independent trials with full fault isolation: a
@@ -304,7 +299,10 @@ type Strategy = adversary.Strategy
 // Byzantine agreement protocols and baselines.
 var (
 	// NewEIG returns exponential-information-gathering devices
-	// (optimal resilience: n >= 3f+1, f+1 rounds).
+	// (optimal resilience: n >= 3f+1, f+1 rounds). It panics on a
+	// peer set it cannot index: more than 64 peers, an empty or
+	// duplicate name, a name containing ';', '=' or '/', or a tree
+	// past 2^20 slots.
 	NewEIG = byzantine.NewEIG
 	// EIGRounds is the simulator rounds an EIG run needs.
 	EIGRounds = byzantine.EIGRounds

@@ -10,7 +10,7 @@ import (
 )
 
 // maxEIGFlatSlots bounds the flat tree's slot space (sum of n^r over
-// levels 1..f+1); peer sets past the bound fall back to the map device.
+// levels 1..f+1); NewEIG rejects peer sets past the bound.
 const maxEIGFlatSlots = 1 << 20
 
 // eigShape is the per-(f, peers) geometry of the flat EIG tree, shared by
@@ -43,21 +43,30 @@ type eigShape struct {
 // trials building the same protocol share one geometry.
 var eigShapes sync.Map // fingerprint -> *eigShape
 
-// eigShapeFor returns the interned shape for (f, sortedPeers), or nil if
-// the flat representation cannot index this peer set: more than 64 peers
-// (membership masks are one word), duplicate or empty names, names
-// containing claim-codec delimiters, or a slot space past the cap.
-func eigShapeFor(f int, sortedPeers []string, fp string) *eigShape {
+// eigShapeFor returns the interned shape for (f, sortedPeers), or an
+// error naming the limit when the flat representation cannot index this
+// peer set: no peers or more than 64 (membership masks are one word), a
+// negative f, an empty or duplicate name, a name containing a
+// claim-codec delimiter, or a slot space past maxEIGFlatSlots.
+func eigShapeFor(f int, sortedPeers []string, fp string) (*eigShape, error) {
 	if v, ok := eigShapes.Load(fp); ok {
-		return v.(*eigShape)
+		return v.(*eigShape), nil
 	}
 	n := len(sortedPeers)
-	if n == 0 || n > 64 || f < 0 {
-		return nil
+	switch {
+	case n == 0 || n > 64:
+		return nil, fmt.Errorf("byzantine: EIG needs 1 to 64 peers, got %d", n)
+	case f < 0:
+		return nil, fmt.Errorf("byzantine: EIG fault bound f=%d is negative", f)
 	}
 	for i, p := range sortedPeers {
-		if p == "" || strings.ContainsAny(p, ";=/") || (i > 0 && p == sortedPeers[i-1]) {
-			return nil
+		switch {
+		case p == "":
+			return nil, fmt.Errorf("byzantine: EIG peer names must be non-empty")
+		case strings.ContainsAny(p, ";=/"):
+			return nil, fmt.Errorf("byzantine: EIG peer name %q contains a claim delimiter (';', '=' or '/')", p)
+		case i > 0 && p == sortedPeers[i-1]:
+			return nil, fmt.Errorf("byzantine: EIG peer name %q appears twice", p)
 		}
 	}
 	offset := make([]int, f+3)
@@ -65,13 +74,10 @@ func eigShapeFor(f int, sortedPeers []string, fp string) *eigShape {
 	total := 0
 	for r := 1; r <= f+1; r++ {
 		offset[r] = total
-		if levelSize > maxEIGFlatSlots/n {
-			return nil
+		if levelSize > maxEIGFlatSlots/n || total > maxEIGFlatSlots-levelSize*n {
+			return nil, fmt.Errorf("byzantine: EIG tree for f=%d over %d peers exceeds %d slots", f, n, maxEIGFlatSlots)
 		}
 		levelSize *= n
-		if total > maxEIGFlatSlots-levelSize {
-			return nil
-		}
 		total += levelSize
 	}
 	offset[f+2] = total
@@ -110,7 +116,7 @@ func eigShapeFor(f int, sortedPeers []string, fp string) *eigShape {
 		}
 	}
 	actual, _ := eigShapes.LoadOrStore(fp, sh)
-	return actual.(*eigShape)
+	return actual.(*eigShape), nil
 }
 
 // sortedSlots returns the valid slots in lexicographic label order,
@@ -133,15 +139,15 @@ func (sh *eigShape) sortedSlots() []int32 {
 // eigFlatDevice is the hot-path EIG implementation: the tree lives in a
 // contiguous value slice indexed by the shared shape, claims are parsed
 // without splitting, and resolution runs on (level, position) pairs with
-// small-slice tallies instead of maps. It is observably identical to
-// eigMapDevice (TestFlatEIGMatchesMapReference pins this).
+// small-slice tallies instead of maps. It is observably identical to the
+// map-based reference device its tests keep as an oracle
+// (TestFlatEIGMatchesMapReference pins this).
 //
 // Claims relayed by senders outside the peer set — legal Byzantine noise
-// the map device stores under labels the flat slot space cannot index —
-// go to the extra map, which is nil on every honest execution.
+// stored under labels the flat slot space cannot index — go to the
+// extra map, which is nil on every honest execution.
 type eigFlatDevice struct {
 	shape     *eigShape
-	fb        *eigMapDevice // fallback when self is outside the peer index
 	self      string
 	selfIdx   int
 	neighbors []string
@@ -157,6 +163,9 @@ type eigFlatDevice struct {
 var _ sim.Device = (*eigFlatDevice)(nil)
 var _ sim.Fingerprinter = (*eigFlatDevice)(nil)
 
+// DeviceFingerprint is the constructor identity: fault bound and peer
+// set. Everything else the device does is determined by these plus the
+// (self, neighbors, input) triple the execution cache keys separately.
 func (d *eigFlatDevice) DeviceFingerprint() string { return d.shape.fp }
 
 func (d *eigFlatDevice) Init(self string, neighbors []string, input sim.Input) {
@@ -168,14 +177,10 @@ func (d *eigFlatDevice) init(self string, neighbors []string, input sim.Input) {
 	sh := d.shape
 	idx, ok := sh.index[self]
 	if !ok {
-		// A device whose own node is not a peer stores labels ending in
-		// its own name, which the slot space cannot index: delegate to
-		// the reference implementation.
-		d.fb = &eigMapDevice{f: sh.f, peers: sh.peers, fp: sh.fp}
-		d.fb.init(self, neighbors, input)
-		return
+		// Self-delivery stores labels ending in the device's own name,
+		// which the slot space indexes only for peers.
+		panic(fmt.Sprintf("byzantine: EIG device built for %q, which is not in its peer set", self))
 	}
-	d.fb = nil
 	d.self = self
 	d.selfIdx = idx
 	d.neighbors = neighbors
@@ -193,9 +198,6 @@ func (d *eigFlatDevice) init(self string, neighbors []string, input sim.Input) {
 }
 
 func (d *eigFlatDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	if d.fb != nil {
-		return d.fb.Step(round, inbox)
-	}
 	sh := d.shape
 	if round > sh.f+1 || d.decided {
 		if round == sh.f+1 && !d.decided {
@@ -238,7 +240,8 @@ func (d *eigFlatDevice) finishAbsorb(round int, inbox sim.Inbox) {
 // absorb records the claims of a round-(level) payload, storing
 // val(σ·sender) = v for each well-formed claim. The payload is walked in
 // place (the claim codec is flat: claims split on ';', label from value
-// at the first '='), matching eigMapDevice.absorb claim for claim.
+// at the first '='), matching the reference device's absorb claim for
+// claim.
 func (d *eigFlatDevice) absorb(sender string, payload sim.Payload, level int) {
 	if payload == sim.None {
 		return
@@ -420,13 +423,10 @@ func (d *eigFlatDevice) broadcast(p sim.Payload) sim.Outbox {
 }
 
 // Snapshot canonically encodes the whole EIG tree plus decision status,
-// byte-identical to eigMapDevice.Snapshot. The common case walks the
+// byte-identical to the reference device's. The common case walks the
 // shape's presorted slot order; the extra map (non-peer senders only)
 // forces a merged sort.
 func (d *eigFlatDevice) Snapshot() string {
-	if d.fb != nil {
-		return d.fb.Snapshot()
-	}
 	sh := d.shape
 	var b strings.Builder
 	fmt.Fprintf(&b, "eig(f=%d,in=%s,dec=%v:%s)", sh.f, d.input, d.decided, d.decision)
@@ -462,9 +462,6 @@ func (d *eigFlatDevice) Snapshot() string {
 }
 
 func (d *eigFlatDevice) Output() (sim.Decision, bool) {
-	if d.fb != nil {
-		return d.fb.Output()
-	}
 	if !d.decided {
 		return sim.Decision{}, false
 	}

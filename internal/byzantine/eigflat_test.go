@@ -1,10 +1,13 @@
 package byzantine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"flm/internal/graph"
 	"flm/internal/sim"
 )
 
@@ -62,9 +65,9 @@ func TestFlatEIGMatchesMapReference(t *testing.T) {
 		input := []string{"0", "1", "5", "", "a;b"}[rng.Intn(5)]
 
 		fp := fmt.Sprintf("byz/eig:f=%d,peers=%s", f, joinPeers(peers))
-		shape := eigShapeFor(f, append([]string(nil), peers...), fp)
-		if shape == nil {
-			t.Fatalf("trial %d: shape unexpectedly ineligible", trial)
+		shape, err := eigShapeFor(f, append([]string(nil), peers...), fp)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 		flat := &eigFlatDevice{shape: shape}
 		flat.Init(self, peers, sim.Input(input))
@@ -118,57 +121,80 @@ func joinPeers(sorted []string) string {
 	return out
 }
 
-// TestFlatEIGOutsiderSelfFallsBack: a device initialized at a node
-// outside the peer set delegates to the reference implementation and
-// stays observably identical to it.
-func TestFlatEIGOutsiderSelfFallsBack(t *testing.T) {
+// mustPanic runs fn and returns the message it panicked with, failing
+// the test if it returned normally.
+func mustPanic(t *testing.T, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("call returned normally, want a panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	fn()
+	return ""
+}
+
+// TestEIGBuilderRejectsOutsiderSelf: a builder asked for a node outside
+// its peer set panics, and the simulator reports that as a typed device
+// fault of the offending node.
+func TestEIGBuilderRejectsOutsiderSelf(t *testing.T) {
 	peers := []string{"a", "b", "c", "d"}
-	fp := fmt.Sprintf("byz/eig:f=%d,peers=%s", 1, joinPeers(peers))
-	shape := eigShapeFor(1, peers, fp)
-	if shape == nil {
-		t.Fatal("shape ineligible")
+	b := NewEIG(1, peers)
+	msg := mustPanic(t, func() { b("zz", peers, "1") })
+	if !strings.Contains(msg, `"zz"`) || !strings.Contains(msg, "peer set") {
+		t.Fatalf("panic %q does not name the outsider and the peer set", msg)
 	}
-	flat := &eigFlatDevice{shape: shape}
-	flat.Init("zz", peers, "1")
-	if flat.fb == nil {
-		t.Fatal("outsider self did not fall back to the map device")
+
+	g := graph.Triangle()
+	p := sim.Protocol{Builders: map[string]sim.Builder{}, Inputs: map[string]sim.Input{}}
+	for _, name := range g.Names() {
+		p.Builders[name] = NewEIG(1, []string{"a", "b", "q"})
+		p.Inputs[name] = "1"
 	}
-	ref := &eigMapDevice{f: 1, peers: peers}
-	ref.Init("zz", peers, "1")
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < EIGRounds(1); round++ {
-		inbox := sim.Inbox{"a": randomClaimPayload(rng, peers), "b": "=1"}
-		outFlat, outRef := flat.Step(round, inbox), ref.Step(round, inbox)
-		for to, p := range outRef {
-			if outFlat[to] != p {
-				t.Fatalf("round %d: payload to %s differs", round, to)
-			}
-		}
-		if flat.Snapshot() != ref.Snapshot() {
-			t.Fatalf("round %d: snapshots differ:\n%s\n%s", round, flat.Snapshot(), ref.Snapshot())
-		}
+	_, err := sim.NewSystem(g, p)
+	var df *sim.DeviceFault
+	if !errors.As(err, &df) {
+		t.Fatalf("NewSystem with an outsider EIG node: err = %v, want a *sim.DeviceFault", err)
 	}
 }
 
-// TestNewEIGUsesFlatDevice pins that the builder actually selects the
-// flat implementation for ordinary peer sets (the perf path is the
-// default, not a lucky accident).
-func TestNewEIGUsesFlatDevice(t *testing.T) {
-	d := NewEIG(1, []string{"a", "b", "c", "d"})("a", []string{"b", "c", "d"}, "1")
-	fd, ok := d.(*eigFlatDevice)
-	if !ok {
-		t.Fatalf("builder returned %T, want *eigFlatDevice", d)
-	}
-	if fd.fb != nil {
-		t.Fatal("flat device fell back to the map reference for a peer self")
-	}
-	// And a peer set the flat shape cannot index falls back cleanly.
+// TestNewEIGRejectsUnindexablePeers: every peer set the flat shape
+// cannot index makes NewEIG panic with a message naming the limit.
+func TestNewEIGRejectsUnindexablePeers(t *testing.T) {
 	big := make([]string, 70)
 	for i := range big {
 		big[i] = fmt.Sprintf("q%02d", i)
 	}
-	d = NewEIG(1, big)(big[0], big[1:], "1")
-	if _, ok := d.(*eigMapDevice); !ok {
-		t.Fatalf("builder returned %T for 70 peers, want *eigMapDevice", d)
+	for _, c := range []struct {
+		name  string
+		f     int
+		peers []string
+		want  string
+	}{
+		{"too many peers", 1, big, "1 to 64 peers, got 70"},
+		{"no peers", 1, nil, "1 to 64 peers, got 0"},
+		{"negative f", -1, []string{"a", "b"}, "f=-1 is negative"},
+		{"empty name", 1, []string{"a", ""}, "non-empty"},
+		{"semicolon", 1, []string{"a", "b;c"}, `"b;c" contains a claim delimiter`},
+		{"equals", 1, []string{"a", "b=c"}, `"b=c" contains a claim delimiter`},
+		{"slash", 1, []string{"a", "b/c"}, `"b/c" contains a claim delimiter`},
+		{"duplicate", 1, []string{"a", "b", "a"}, `"a" appears twice`},
+		{"slot space", 4, big[:64], "exceeds 1048576 slots"},
+	} {
+		msg := mustPanic(t, func() { NewEIG(c.f, c.peers) })
+		if !strings.Contains(msg, c.want) {
+			t.Errorf("%s: panic %q, want it to contain %q", c.name, msg, c.want)
+		}
+	}
+}
+
+// TestNewEIGUsesFlatDevice pins that the builder constructs the flat
+// implementation for ordinary peer sets.
+func TestNewEIGUsesFlatDevice(t *testing.T) {
+	d := NewEIG(1, []string{"a", "b", "c", "d"})("a", []string{"b", "c", "d"}, "1")
+	if _, ok := d.(*eigFlatDevice); !ok {
+		t.Fatalf("builder returned %T, want *eigFlatDevice", d)
 	}
 }

@@ -47,7 +47,7 @@ var _ sim.Device = (*turpinCoan)(nil)
 var _ sim.Fingerprinter = (*turpinCoan)(nil)
 
 // DeviceFingerprint is the constructor identity: fault bound and peer
-// set (see eigMapDevice.DeviceFingerprint).
+// set (see eigFlatDevice.DeviceFingerprint).
 func (d *turpinCoan) DeviceFingerprint() string {
 	if d.fp == "" {
 		d.fp = fmt.Sprintf("byz/turpincoan:f=%d,peers=%s", d.f, strings.Join(d.peers, ","))

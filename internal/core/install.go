@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 
@@ -113,13 +112,6 @@ type Installation struct {
 	Cover    *graph.Cover
 	Protocol sim.Protocol
 	Inputs   map[string]sim.Input // by S-node name
-
-	// buildersID is the identity of the G-builders map InstallCover
-	// received. Builder funcs are not comparable, so the splice cache
-	// uses this pointer identity to verify that a SpliceScenario call
-	// passes the same builders the installation was made from before it
-	// trusts the covering run's fingerprint as the cache key.
-	buildersID uintptr
 }
 
 // InstallCover assigns to every S-node the device of its G-image (built
@@ -171,12 +163,7 @@ func InstallCover(cover *graph.Cover, builders map[string]sim.Builder, inputs ma
 	for k, v := range p.Inputs {
 		inputsCopy[k] = v
 	}
-	return &Installation{
-		Cover:      cover,
-		Protocol:   p,
-		Inputs:     inputsCopy,
-		buildersID: reflect.ValueOf(builders).Pointer(),
-	}, nil
+	return &Installation{Cover: cover, Protocol: p, Inputs: inputsCopy}, nil
 }
 
 // Execute instantiates the installed devices and runs the covering system

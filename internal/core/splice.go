@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 
 	"flm/internal/graph"
 	"flm/internal/obs"
-	"flm/internal/runcache"
 	"flm/internal/sim"
 )
 
@@ -35,78 +33,27 @@ type Splice struct {
 // scenario in S, byte for byte.
 //
 // builders is keyed by G-node name; inputs for correct G-nodes are taken
-// from the covering run through Phi.
-//
-// Splices are memoized: contradiction chains (and the sweeps that drive
-// them) splice the same scenario of the same covering run repeatedly,
-// and a splice is fully determined by the covering run's content and the
-// scenario subset, so repeats return the shared, immutable *Splice. The
-// cache engages only when the covering run is content-addressed
-// (runS.Fingerprint() != "") and builders is the very map the
-// installation was built from — which is how every theorem driver calls
-// it — and falls through to a fresh execution otherwise.
+// from the covering run through Phi. Every call splices afresh and runs
+// every check; the G-run's execution itself goes through sim's run
+// cache.
 func SpliceScenario(inst *Installation, runS *sim.Run, u []int, builders map[string]sim.Builder) (*Splice, error) {
 	if obs.Enabled() {
 		return spliceScenarioTraced(inst, runS, u, builders)
 	}
-	if key, ok := spliceKey(inst, runS, u, builders); ok {
-		v, err := spliceCache.Do(key, func() (any, error) {
-			return spliceScenario(inst, runS, u, builders)
-		})
-		sp, _ := v.(*Splice)
-		return sp, err
-	}
-	return spliceScenario(inst, runS, u, builders)
+	return spliceScenarioCtx(context.Background(), inst, runS, u, builders)
 }
 
-// Splice-cache metrics, ticked on the traced path only (the disabled
-// engine stays byte-identical to the uninstrumented one).
-var (
-	mSpliceHit      = obs.NewCounter("core.splice.hit")
-	mSpliceWait     = obs.NewCounter("core.splice.wait")
-	mSpliceMiss     = obs.NewCounter("core.splice.miss")
-	mSpliceUncached = obs.NewCounter("core.splice.uncached")
-)
-
-// spliceScenarioTraced is SpliceScenario's traced twin: the same cache
-// dispatch wrapped in a "core.splice" span recording the scenario size,
-// how the splice cache served it, and — on success — the correct and
-// faulty G-node sets of the constructed behavior.
+// spliceScenarioTraced is SpliceScenario's traced twin: the same splice
+// wrapped in a "core.splice" span recording the scenario size and — on
+// success — the correct and faulty G-node sets of the constructed
+// behavior.
 //
 //flmlint:allow flmobscost reached only from SpliceScenario's obs.Enabled() branch
 func spliceScenarioTraced(inst *Installation, runS *sim.Run, u []int, builders map[string]sim.Builder) (*Splice, error) {
 	ctx, span := obs.StartSpan(context.Background(), "core.splice",
 		obs.Int("scenario_nodes", len(u)),
 		obs.Int("cover_nodes", inst.Cover.S.N()))
-	var (
-		res        *Splice
-		err        error
-		cacheState string
-	)
-	if key, ok := spliceKey(inst, runS, u, builders); ok {
-		var v any
-		var hit, waited bool
-		v, hit, waited, err = spliceCache.DoObserved(key, func() (any, error) {
-			return spliceScenarioCtx(ctx, inst, runS, u, builders)
-		})
-		res, _ = v.(*Splice)
-		switch {
-		case waited:
-			cacheState = "wait"
-			mSpliceWait.Inc()
-		case hit:
-			cacheState = "hit"
-			mSpliceHit.Inc()
-		default:
-			cacheState = "miss"
-			mSpliceMiss.Inc()
-		}
-	} else {
-		cacheState = "uncacheable"
-		mSpliceUncached.Inc()
-		res, err = spliceScenarioCtx(ctx, inst, runS, u, builders)
-	}
-	span.SetAttrs(obs.Str("cache", cacheState))
+	res, err := spliceScenarioCtx(ctx, inst, runS, u, builders)
 	if err != nil {
 		span.SetAttrs(obs.Str("error", err.Error()))
 	}
@@ -117,78 +64,6 @@ func spliceScenarioTraced(inst *Installation, runS *sim.Run, u []int, builders m
 	}
 	span.End()
 	return res, err
-}
-
-// spliceCache memoizes whole splices — the constructed G-run plus the
-// verified locality bookkeeping — one level above sim's execution cache,
-// saving the protocol assembly and self-check work on repeats.
-//
-// Policy: memory-only. A *Splice holds builder closures (via its
-// Installation) that cannot be content-addressed across processes, so no
-// disk tier is ever installed here; the underlying executions it splices
-// are what the persistent tier serves. The L1 budget still applies, with
-// the cost model charging the constructed run plus the splice
-// bookkeeping.
-var spliceCache = runcache.New(
-	runcache.WithCost(spliceCost),
-	runcache.WithMetrics("core.splice"),
-)
-
-// spliceCost estimates the retained bytes of a cached *Splice: the
-// constructed G-run (the dominant term, costed by sim's run estimator)
-// plus the rename map and node-name slices.
-func spliceCost(v any) int64 {
-	sp, ok := v.(*Splice)
-	if !ok || sp == nil {
-		return 512
-	}
-	cost := int64(128) + sim.RunCost(sp.Run)
-	for _, s := range sp.Correct {
-		cost += int64(len(s)) + 16
-	}
-	for _, s := range sp.Faulty {
-		cost += int64(len(s)) + 16
-	}
-	for _, s := range sp.UNodes {
-		cost += int64(len(s)) + 16
-	}
-	cost += int64(len(sp.Rename)) * 80
-	return cost
-}
-
-// SpliceCacheStats reports the splice cache's hit/miss counters.
-func SpliceCacheStats() runcache.Stats { return spliceCache.Stats() }
-
-// ResetSpliceCache drops every cached splice.
-func ResetSpliceCache() { spliceCache.Reset() }
-
-// spliceKey derives the cache key for a splice request, reporting
-// ok=false when the request is not safely cacheable. The covering run's
-// fingerprint already pins the S-graph, the installed devices (via their
-// renamed fingerprints, which embed Phi), the inputs, and the horizon;
-// the scenario subset u is the only other degree of freedom. Builder
-// identity cannot be hashed (funcs), so the installation's recorded
-// buildersID must match the map passed here, pinning the builders to
-// the ones whose behavior the fingerprint describes.
-func spliceKey(inst *Installation, runS *sim.Run, u []int, builders map[string]sim.Builder) (string, bool) {
-	if !runcache.Enabled() {
-		return "", false
-	}
-	fp := runS.Fingerprint()
-	if fp == "" || inst.buildersID == 0 || reflect.ValueOf(builders).Pointer() != inst.buildersID {
-		return "", false
-	}
-	h := runcache.NewHasher("core.splice/v1")
-	h.Field(fp)
-	h.Int(len(u))
-	for _, sn := range u {
-		h.Int(sn)
-	}
-	return h.Sum(), true
-}
-
-func spliceScenario(inst *Installation, runS *sim.Run, u []int, builders map[string]sim.Builder) (*Splice, error) {
-	return spliceScenarioCtx(context.Background(), inst, runS, u, builders)
 }
 
 // spliceScenarioCtx threads a context so that, under tracing, the

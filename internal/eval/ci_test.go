@@ -141,6 +141,28 @@ func TestCIObservabilitySmokePinned(t *testing.T) {
 	}
 }
 
+// TestCIPerfbenchPinned: the workflow builds, vets and tests the
+// separate perfbench module and runs its catalog listing. Tier-1 never
+// builds that module, so this job is the only thing that catches a
+// library change breaking the benchmark.
+func TestCIPerfbenchPinned(t *testing.T) {
+	data, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^  perfbench:$`).Match(data) {
+		t.Error("CI workflow has no perfbench job")
+	}
+	for _, cmd := range []string{
+		`cd perfbench && go vet ./... && go test ./...`,
+		`bash perfbench/run.sh --list`,
+	} {
+		if !regexp.MustCompile(`(?m)run:\s+` + regexp.QuoteMeta(cmd) + `$`).Match(data) {
+			t.Errorf("CI workflow no longer runs %q", cmd)
+		}
+	}
+}
+
 // TestMakefileTraceDiffPinned: the trace-diff target keeps its three
 // legs (self-diff, committed reference, injected regression expecting
 // exit 3) against the committed fixtures, and the fixtures exist. The

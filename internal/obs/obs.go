@@ -1,8 +1,8 @@
 // Package obs is the engine's unified observability layer: a span/event
 // tracer with goroutine-safe JSONL export plus a registry of atomic
 // counters, gauges, and histograms (metrics.go). The performance-critical
-// subsystems — the simulator executor, the run/splice caches, the
-// parallel sweep pool, and the chaos harness — emit spans through this
+// subsystems — the simulator executor, the run cache, the parallel
+// sweep pool, and the chaos harness — emit spans through this
 // package so a single trace file explains where a workload's time,
 // cache traffic, and chain structure went; `flm stats` replays such a
 // file into a per-subsystem summary.

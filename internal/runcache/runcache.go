@@ -179,7 +179,6 @@ type shard struct {
 	bytes     int64
 	residents int   // length of the LRU list
 	budget    int64 // < 0 unbounded, 0 retain nothing
-	maxEnt    int   // max resident entries; 0 = unbounded
 }
 
 // Cache is a single-flight two-tier memoization table keyed by
@@ -233,35 +232,14 @@ type cacheConfig struct {
 	shards  int
 	budget  int64
 	haveBud bool
-	maxEnt  int
 	cost    func(any) int64
 	metrics string
-}
-
-// WithShards sets the L1 shard count (default 16). More shards cut
-// mutex contention; fewer make tiny budgets divide less coarsely.
-func WithShards(n int) Option {
-	return func(c *cacheConfig) {
-		if n > 0 {
-			c.shards = n
-		}
-	}
 }
 
 // WithBudget sets the L1 byte budget, overriding FLM_CACHE_BUDGET.
 // Negative is unbounded; zero retains nothing (single-flight only).
 func WithBudget(bytes int64) Option {
 	return func(c *cacheConfig) { c.budget = bytes; c.haveBud = true }
-}
-
-// WithMaxEntries additionally bounds the resident entry count (0 =
-// unbounded). Like the byte budget it divides across shards.
-func WithMaxEntries(n int) Option {
-	return func(c *cacheConfig) {
-		if n > 0 {
-			c.maxEnt = n
-		}
-	}
 }
 
 // WithCost sets the byte-cost estimator used for budget accounting.
@@ -298,7 +276,6 @@ func New(opts ...Option) *Cache {
 		c.shards[i] = &shard{
 			entries: make(map[string]*entry),
 			budget:  shardSlice(cfg.budget, cfg.shards),
-			maxEnt:  shardEntSlice(cfg.maxEnt, cfg.shards),
 		}
 	}
 	if cfg.metrics != "" {
@@ -321,17 +298,6 @@ func shardSlice(budget int64, shards int) int64 {
 		return -1
 	}
 	return budget / int64(shards)
-}
-
-func shardEntSlice(maxEnt, shards int) int {
-	if maxEnt <= 0 {
-		return 0
-	}
-	n := maxEnt / shards
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // defaultCost is the fallback byte-cost model: exact for the flat value
@@ -380,8 +346,7 @@ func (c *Cache) Store() *Store {
 
 // SetBudget rebounds the L1 byte budget at runtime (same semantics as
 // WithBudget), evicting immediately if shards are over their new slice,
-// and returns a function restoring the previous budget. The entry cap
-// is unchanged.
+// and returns a function restoring the previous budget.
 func (c *Cache) SetBudget(bytes int64) (restore func()) {
 	var prev int64
 	per := shardSlice(bytes, len(c.shards))
@@ -410,17 +375,6 @@ func (c *Cache) SetBudget(bytes int64) (restore func()) {
 func (c *Cache) Do(key string, compute func() (any, error)) (any, error) {
 	v, _, err := c.DoHow(key, compute)
 	return v, err
-}
-
-// DoObserved is Do, additionally reporting how the lookup was served:
-// hit is true when the value came without running compute (a finished
-// or in-flight L1 entry, or a disk-tier fill), and waited is true for
-// the in-flight case, where this caller blocked on another caller's
-// computation (the single-flight wait). DoHow exposes the full
-// four-way outcome; this shape is kept for the existing call sites.
-func (c *Cache) DoObserved(key string, compute func() (any, error)) (v any, hit, waited bool, err error) {
-	v, how, err := c.DoHow(key, compute)
-	return v, how != Computed, how == Waited, err
 }
 
 // DoHow is Do, reporting the serve outcome (miss / hit / wait / disk).
@@ -552,13 +506,11 @@ func (c *Cache) finish(sh *shard, e *entry, retain bool) {
 }
 
 // evictLocked drops least-recently-used resident entries until the
-// shard is back inside its byte and entry bounds. Callers hold sh.mu.
+// shard is back inside its byte budget. Callers hold sh.mu.
 // In-flight entries are never on the list, so a flight with waiters can
 // never be computed twice by eviction pressure.
 func (c *Cache) evictLocked(sh *shard) {
-	for sh.tail != nil &&
-		((sh.budget >= 0 && sh.bytes > sh.budget) ||
-			(sh.maxEnt > 0 && sh.residents > sh.maxEnt)) {
+	for sh.tail != nil && sh.budget >= 0 && sh.bytes > sh.budget {
 		victim := sh.tail
 		sh.unlink(victim)
 		delete(sh.entries, victim.key)

@@ -12,6 +12,12 @@ import (
 // no overhead, so budget arithmetic in assertions is trivial.
 func strCost(v any) int64 { return int64(len(v.(string))) }
 
+// withShards sets the L1 shard count. With one shard the LRU victim
+// order is global, which the eviction-order tests rely on.
+func withShards(n int) Option {
+	return func(c *cacheConfig) { c.shards = n }
+}
+
 // spreadKey builds a sha256 key for index i, so keys spread uniformly
 // over shards the way real fingerprints do.
 func spreadKey(i int) string {
@@ -21,12 +27,11 @@ func spreadKey(i int) string {
 }
 
 // TestL1BudgetNeverExceeded is the provable-bound acceptance test:
-// insertions far past the budget must never push retained bytes (or the
-// entry count under WithMaxEntries) over the configured bound, at any
-// point, not just at the end.
+// insertions far past the budget must never push retained bytes over
+// the configured bound, at any point, not just at the end.
 func TestL1BudgetNeverExceeded(t *testing.T) {
 	const budget = 4096
-	c := New(WithShards(4), WithBudget(budget), WithCost(strCost))
+	c := New(withShards(4), WithBudget(budget), WithCost(strCost))
 	val := strings.Repeat("v", 100)
 	for i := 0; i < 500; i++ {
 		if _, err := c.Do(spreadKey(i), func() (any, error) { return val, nil }); err != nil {
@@ -45,21 +50,10 @@ func TestL1BudgetNeverExceeded(t *testing.T) {
 	}
 }
 
-func TestL1MaxEntriesBound(t *testing.T) {
-	const maxEnt = 8
-	c := New(WithShards(4), WithMaxEntries(maxEnt), WithBudget(-1), WithCost(strCost))
-	for i := 0; i < 100; i++ {
-		c.Do(spreadKey(i), func() (any, error) { return "v", nil })
-		if st := c.Stats(); st.Entries > maxEnt {
-			t.Fatalf("after insert %d: %d entries > cap %d", i, st.Entries, maxEnt)
-		}
-	}
-}
-
 // TestEvictedKeyRecomputes pins the LRU order: with room for two
 // entries, touching the older one makes the untouched one the victim.
 func TestEvictedKeyRecomputes(t *testing.T) {
-	c := New(WithShards(1), WithBudget(2), WithCost(strCost))
+	c := New(withShards(1), WithBudget(2), WithCost(strCost))
 	calls := map[string]int{}
 	do := func(key string) {
 		t.Helper()
@@ -191,7 +185,7 @@ func TestWaitersSurviveReset(t *testing.T) {
 // budget slice is returned but never resident — and must not evict the
 // entries that do fit.
 func TestOversizeValueNotRetained(t *testing.T) {
-	c := New(WithShards(1), WithBudget(100), WithCost(strCost))
+	c := New(withShards(1), WithBudget(100), WithCost(strCost))
 	c.Do("small", func() (any, error) { return "s", nil })
 	v, err := c.Do("huge", func() (any, error) { return strings.Repeat("h", 1000), nil })
 	if err != nil || len(v.(string)) != 1000 {
@@ -211,7 +205,7 @@ func TestOversizeValueNotRetained(t *testing.T) {
 // TestSetBudgetEvictsAndRestores: shrinking the budget at runtime evicts
 // immediately; the restore function reinstates the old bound.
 func TestSetBudgetEvictsAndRestores(t *testing.T) {
-	c := New(WithShards(1), WithBudget(1000), WithCost(strCost))
+	c := New(withShards(1), WithBudget(1000), WithCost(strCost))
 	for i := 0; i < 5; i++ {
 		c.Do(fmt.Sprintf("k%d", i), func() (any, error) { return strings.Repeat("v", 100), nil })
 	}
@@ -237,7 +231,7 @@ func TestSetBudgetEvictsAndRestores(t *testing.T) {
 // own key's value — never another flight's — while eviction churns
 // constantly.
 func TestConcurrentEvictionSingleFlight(t *testing.T) {
-	c := New(WithShards(4), WithBudget(256), WithCost(strCost))
+	c := New(withShards(4), WithBudget(256), WithCost(strCost))
 	const (
 		goroutines = 8
 		iterations = 400

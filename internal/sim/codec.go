@@ -19,18 +19,6 @@ func EncodeBool(b bool) string {
 	return "0"
 }
 
-// DecodeBool parses a canonical Boolean.
-func DecodeBool(s string) (bool, error) {
-	switch s {
-	case "0":
-		return false, nil
-	case "1":
-		return true, nil
-	default:
-		return false, fmt.Errorf("sim: %q is not a canonical boolean", s)
-	}
-}
-
 // BoolInput returns the Input encoding of a Boolean.
 func BoolInput(b bool) Input { return Input(EncodeBool(b)) }
 

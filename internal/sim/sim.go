@@ -170,8 +170,7 @@ type Run struct {
 // Fingerprint returns the content-addressed key under which this run was
 // cached (or would have been), or "" when the producing system was not
 // fingerprintable or the run cache was disabled. Runs with equal
-// fingerprints are byte-identical, which is what lets downstream layers
-// (core's splice cache) key on it.
+// fingerprints are byte-identical.
 func (r *Run) Fingerprint() string { return r.fp }
 
 // ExecuteOpts selects what ExecuteWith records and under which delivery

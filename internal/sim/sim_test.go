@@ -460,15 +460,6 @@ func TestRunAccessors(t *testing.T) {
 }
 
 func TestCodecRoundTrips(t *testing.T) {
-	for _, b := range []bool{true, false} {
-		got, err := DecodeBool(EncodeBool(b))
-		if err != nil || got != b {
-			t.Errorf("bool %v round trip: %v %v", b, got, err)
-		}
-	}
-	if _, err := DecodeBool("2"); err == nil {
-		t.Error("bad bool accepted")
-	}
 	if _, err := DecodeReal("zz"); err == nil {
 		t.Error("bad real accepted")
 	}

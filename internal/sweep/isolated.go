@@ -162,7 +162,7 @@ func Isolated[T any](ctx context.Context, n int, o Opts, fn func(i int) (T, erro
 		<-done
 	}
 	if sweepSpan != nil {
-		sweepSpan.SetAttrs(obs.Int("faults", FaultCount(errs)))
+		sweepSpan.SetAttrs(obs.Int("faults", faultCount(errs)))
 	}
 	sweepSpan.End()
 	return results, errs
@@ -228,8 +228,8 @@ func FirstError(errs []error) (int, error) {
 	return -1, nil
 }
 
-// FaultCount reports how many trials failed.
-func FaultCount(errs []error) int {
+// faultCount reports how many trials failed.
+func faultCount(errs []error) int {
 	c := 0
 	for _, err := range errs {
 		if err != nil {

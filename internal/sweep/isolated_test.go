@@ -105,8 +105,8 @@ func TestIsolatedPanicIsolation(t *testing.T) {
 	if idx, err := FirstError(errs); idx != bad || err == nil {
 		t.Errorf("FirstError = (%d, %v), want (%d, fault)", idx, err, bad)
 	}
-	if c := FaultCount(errs); c != 1 {
-		t.Errorf("FaultCount = %d, want 1", c)
+	if c := faultCount(errs); c != 1 {
+		t.Errorf("faultCount = %d, want 1", c)
 	}
 }
 
@@ -204,24 +204,5 @@ func TestIsolatedDeterministicResults(t *testing.T) {
 		if one[i] != four[i] {
 			t.Fatalf("results diverge at %d: %d vs %d", i, one[i], four[i])
 		}
-	}
-}
-
-// TestMapCtxCancellation: the ordinary Map path also honors its context.
-func TestMapCtxCancellation(t *testing.T) {
-	defer SetWorkers(SetWorkers(2))
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	_, err := MapCtx(ctx, 100_000, func(i int) (int, error) {
-		if ran.Add(1) == 10 {
-			cancel()
-		}
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if ran.Load() == 100_000 {
-		t.Fatal("cancellation did not stop the sweep")
 	}
 }

@@ -90,14 +90,6 @@ func Workers() int {
 // not share mutable state; everything a trial touches should be built
 // inside fn or be read-only (graphs, builders, parameter structs).
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, fn)
-}
-
-// MapCtx is Map with a cancellation path: when ctx is done, workers stop
-// claiming new trials (already-running trials complete) and the sweep
-// returns ctx.Err() unless a lower-indexed trial already failed with its
-// own error.
-func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
 		return results, nil
@@ -106,6 +98,7 @@ func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, 
 	if workers > n {
 		workers = n
 	}
+	ctx := context.Background()
 	traced := obs.Enabled()
 	if traced {
 		var sweepSpan *obs.Span
@@ -128,9 +121,6 @@ func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, 
 			defer func() { wo.finish(ws, started) }()
 		}
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return results, fmt.Errorf("sweep: cancelled before trial %d: %w", i, err)
-			}
 			var t0 time.Time
 			if wo != nil {
 				t0 = wo.begin()
@@ -163,7 +153,7 @@ func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, 
 	loop := func(wo *workerObs) {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= n || failed.Load() || ctx.Err() != nil {
+			if i >= n || failed.Load() {
 				return
 			}
 			var t0 time.Time
@@ -205,11 +195,6 @@ func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, 
 		}(w)
 	}
 	wg.Wait()
-	if firstErr == nil {
-		if err := ctx.Err(); err != nil {
-			return results, fmt.Errorf("sweep: cancelled: %w", err)
-		}
-	}
 	return results, firstErr
 }
 

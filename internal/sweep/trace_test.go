@@ -131,8 +131,8 @@ func TestIsolatedTracedFaultCounts(t *testing.T) {
 		return i, nil
 	})
 	restore()
-	if got := FaultCount(errs); got != 5 {
-		t.Fatalf("FaultCount = %d, want 5", got)
+	if got := faultCount(errs); got != 5 {
+		t.Fatalf("faultCount = %d, want 5", got)
 	}
 	recs := parseTrace(t, tr, &buf)
 	iso := spansNamed(recs, "sweep.isolated")
