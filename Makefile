@@ -6,6 +6,9 @@
 #              four analyzers machine-check determinism, fingerprint
 #              coverage, zero-cost observability, and buffer ownership
 #              (see internal/lint)
+# fuzz         10 s of coverage-guided fuzzing of sim.RunCodec, the disk
+#              tier's decoder; tier-1 replays only the committed corpus
+#              (internal/sim/testdata/fuzz/FuzzRunCodec)
 # verify-race  extended: vet + race-enabled tests; FLM_WORKERS forces the
 #              parallel sweep path so the race detector sees real
 #              concurrency even on single-core runners
@@ -55,7 +58,7 @@ TRACE_DIFF_FILE ?= /tmp/flm-trace-diff.jsonl
 TRACE_DIFF_THRESHOLD ?= 5
 OBS_SMOKE_ADDR ?= 127.0.0.1:9177
 
-.PHONY: verify verify-race lint bench bench-smoke bench-gate cache-warm chaos chaos-async trace-smoke trace-diff obs-smoke
+.PHONY: verify verify-race lint fuzz bench bench-smoke bench-gate cache-warm chaos chaos-async trace-smoke trace-diff obs-smoke
 
 verify: lint
 	$(GO) build ./...
@@ -69,6 +72,9 @@ lint:
 	@mkdir -p $(dir $(FLMLINT))
 	$(GO) build -o $(FLMLINT) ./cmd/flmlint
 	$(GO) vet -vettool=$(FLMLINT) ./...
+
+fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRunCodec$$' -fuzztime 10s
 
 verify-race: verify
 	$(GO) vet ./...

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -60,12 +61,11 @@ func (d *crashDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.inner.Init(self, neighbors, input)
 }
 
-func (d *crashDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	out := d.inner.Step(round, inbox)
+func (d *crashDevice) Step(round int, in, out []sim.Payload) {
+	d.inner.Step(round, in, out)
 	if round >= d.crashRound {
-		return nil
+		clear(out)
 	}
-	return out
 }
 
 func (d *crashDevice) Snapshot() string {
@@ -77,7 +77,8 @@ func (d *crashDevice) Output() (sim.Decision, bool) { return sim.Decision{}, fal
 // omissionDevice drops messages to a fixed subset of neighbors.
 type omissionDevice struct {
 	inner sim.Device
-	drop  map[string]bool
+	drop  []string // the sorted, distinct names to drop
+	mute  []bool   // mute[i]: slot i is in drop
 }
 
 var _ sim.Device = (*omissionDevice)(nil)
@@ -90,48 +91,48 @@ func (d *omissionDevice) DeviceFingerprint() string {
 	if inner == "" {
 		return ""
 	}
-	keys := make([]string, 0, len(d.drop))
-	for k := range d.drop {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return fmt.Sprintf("adv/omit[%s]|%s", strings.Join(keys, ","), inner)
+	return fmt.Sprintf("adv/omit[%s]|%s", strings.Join(d.drop, ","), inner)
 }
 
 // Omission wraps a builder so messages to the listed neighbors are
 // silently dropped.
 func Omission(inner sim.Builder, dropTo ...string) sim.Builder {
+	drop := append([]string(nil), dropTo...)
+	sort.Strings(drop)
+	drop = slices.Compact(drop)
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
-		drop := make(map[string]bool, len(dropTo))
-		for _, nb := range dropTo {
-			drop[nb] = true
+		d := &omissionDevice{inner: inner(self, neighbors, input), drop: drop}
+		d.setNeighbors(neighbors)
+		return d
+	}
+}
+
+// setNeighbors resolves the drop set into slots.
+func (d *omissionDevice) setNeighbors(neighbors []string) {
+	d.mute = make([]bool, len(neighbors))
+	for _, nb := range d.drop {
+		if s := sim.Slot(neighbors, nb); s >= 0 {
+			d.mute[s] = true
 		}
-		return &omissionDevice{inner: inner(self, neighbors, input), drop: drop}
 	}
 }
 
 func (d *omissionDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.inner.Init(self, neighbors, input)
+	d.setNeighbors(neighbors)
 }
 
-func (d *omissionDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	out := d.inner.Step(round, inbox)
-	filtered := sim.Outbox{}
-	for nb, p := range out {
-		if !d.drop[nb] {
-			filtered[nb] = p
+func (d *omissionDevice) Step(round int, in, out []sim.Payload) {
+	d.inner.Step(round, in, out)
+	for i, m := range d.mute {
+		if m {
+			out[i] = sim.None
 		}
 	}
-	return filtered
 }
 
 func (d *omissionDevice) Snapshot() string {
-	keys := make([]string, 0, len(d.drop))
-	for k := range d.drop {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return fmt.Sprintf("omit[%s]|%s", strings.Join(keys, ","), d.inner.Snapshot())
+	return fmt.Sprintf("omit[%s]|%s", strings.Join(d.drop, ","), d.inner.Snapshot())
 }
 
 func (d *omissionDevice) Output() (sim.Decision, bool) { return sim.Decision{}, false }
@@ -143,7 +144,10 @@ func (d *omissionDevice) Output() (sim.Decision, bool) { return sim.Decision{}, 
 type equivocator struct {
 	brainA, brainB sim.Device
 	aIn, bIn       sim.Input
-	useB           map[string]bool
+	neighbors      []string
+	useB           []bool // useB[i]: neighbors[i] sees brain B
+
+	outB []sim.Payload // brain B's outbox; brain A writes the executor's
 }
 
 var _ sim.Device = (*equivocator)(nil)
@@ -159,12 +163,11 @@ func (d *equivocator) DeviceFingerprint() string {
 		return ""
 	}
 	split := make([]string, 0, len(d.useB))
-	for nb, b := range d.useB {
+	for i, b := range d.useB {
 		if b {
-			split = append(split, nb)
+			split = append(split, d.neighbors[i])
 		}
 	}
-	sort.Strings(split)
 	return fmt.Sprintf("adv/equiv[%s]a=%q:%s|b=%q:%s",
 		strings.Join(split, ","), string(d.aIn), fpA, string(d.bIn), fpB)
 }
@@ -175,16 +178,15 @@ func (d *equivocator) DeviceFingerprint() string {
 func Equivocate(inner sim.Builder, a, b sim.Input, faceB func(neighbor string) bool) sim.Builder {
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
 		d := &equivocator{
-			brainA: inner(self, neighbors, a),
-			brainB: inner(self, neighbors, b),
-			aIn:    a,
-			bIn:    b,
-			useB:   make(map[string]bool, len(neighbors)),
+			brainA:    inner(self, neighbors, a),
+			brainB:    inner(self, neighbors, b),
+			aIn:       a,
+			bIn:       b,
+			neighbors: neighbors,
+			useB:      make([]bool, len(neighbors)),
 		}
-		for _, nb := range neighbors {
-			if faceB(nb) {
-				d.useB[nb] = true
-			}
+		for i, nb := range neighbors {
+			d.useB[i] = faceB(nb)
 		}
 		return d
 	}
@@ -194,21 +196,18 @@ func (d *equivocator) Init(self string, neighbors []string, input sim.Input) {
 	// Brains were initialized at construction with their own inputs.
 }
 
-func (d *equivocator) Step(round int, inbox sim.Inbox) sim.Outbox {
-	outA := d.brainA.Step(round, inbox)
-	outB := d.brainB.Step(round, inbox)
-	out := sim.Outbox{}
-	for nb, p := range outA {
-		if !d.useB[nb] {
-			out[nb] = p
+func (d *equivocator) Step(round int, in, out []sim.Payload) {
+	if d.outB == nil {
+		d.outB = make([]sim.Payload, len(out))
+	}
+	clear(d.outB)
+	d.brainA.Step(round, in, out)
+	d.brainB.Step(round, in, d.outB)
+	for i, b := range d.useB {
+		if b {
+			out[i] = d.outB[i]
 		}
 	}
-	for nb, p := range outB {
-		if d.useB[nb] {
-			out[nb] = p
-		}
-	}
-	return out
 }
 
 func (d *equivocator) Snapshot() string {
@@ -220,8 +219,6 @@ func (d *equivocator) Output() (sim.Decision, bool) { return sim.Decision{}, fal
 // noiseDevice sends seeded pseudo-random boolean payloads to every
 // neighbor every round. Deterministic for a fixed (seed, self) pair.
 type noiseDevice struct {
-	//flmlint:allow flmfingerprint topology is keyed by the graph hash, not the device
-	neighbors []string
 	//flmlint:allow flmfingerprint rng stream is a pure function of seed and node name, both keyed
 	rng      *rand.Rand
 	seed     int64 // builder seed, pre node-name mixing (fingerprint identity)
@@ -254,26 +251,21 @@ func Noise(seed int64, alphabet ...sim.Payload) sim.Builder {
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
 		h := fnv.New64a()
 		h.Write([]byte(self))
-		d := &noiseDevice{
-			neighbors: append([]string(nil), neighbors...),
-			rng:       rand.New(rand.NewSource(seed ^ int64(h.Sum64()))),
-			seed:      seed,
-			alphabet:  alphabet,
+		return &noiseDevice{
+			rng:      rand.New(rand.NewSource(seed ^ int64(h.Sum64()))),
+			seed:     seed,
+			alphabet: alphabet,
 		}
-		sort.Strings(d.neighbors)
-		return d
 	}
 }
 
 func (d *noiseDevice) Init(self string, neighbors []string, input sim.Input) {}
 
-func (d *noiseDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = d.alphabet[d.rng.Intn(len(d.alphabet))]
+func (d *noiseDevice) Step(round int, in, out []sim.Payload) {
+	for i := range out {
+		out[i] = d.alphabet[d.rng.Intn(len(d.alphabet))]
 	}
 	d.round = round
-	return out
 }
 
 func (d *noiseDevice) Snapshot() string { return fmt.Sprintf("noise@%d", d.round) }
@@ -285,7 +277,7 @@ func (d *noiseDevice) Output() (sim.Decision, bool) { return sim.Decision{}, fal
 // audience), impersonating relayed traffic without understanding it.
 type mirrorDevice struct {
 	neighbors []string
-	pending   map[string]sim.Payload
+	pending   []sim.Payload // last round's arrivals, by slot
 	round     int
 }
 
@@ -305,37 +297,26 @@ func Mirror() sim.Builder {
 }
 
 func (d *mirrorDevice) Init(self string, neighbors []string, input sim.Input) {
-	d.neighbors = append([]string(nil), neighbors...)
-	sort.Strings(d.neighbors)
-	d.pending = map[string]sim.Payload{}
+	d.neighbors = neighbors
+	d.pending = make([]sim.Payload, len(neighbors))
 }
 
-func (d *mirrorDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
+func (d *mirrorDevice) Step(round int, in, out []sim.Payload) {
 	d.round = round
-	out := sim.Outbox{}
-	if len(d.neighbors) == 0 {
-		return out
-	}
 	// Send to neighbor i what neighbor i+1 (cyclically) said last round.
-	for i, nb := range d.neighbors {
-		src := d.neighbors[(i+1)%len(d.neighbors)]
-		if p, ok := d.pending[src]; ok && p != sim.None {
-			out[nb] = p
-		}
+	for i := range out {
+		out[i] = d.pending[(i+1)%len(out)]
 	}
-	d.pending = map[string]sim.Payload{}
-	for from, p := range inbox {
-		d.pending[from] = p
-	}
-	return out
+	copy(d.pending, in)
 }
 
 func (d *mirrorDevice) Snapshot() string {
 	keys := make([]string, 0, len(d.pending))
-	for k := range d.pending {
-		keys = append(keys, k)
+	for i, p := range d.pending {
+		if p != sim.None {
+			keys = append(keys, d.neighbors[i])
+		}
 	}
-	sort.Strings(keys)
 	return fmt.Sprintf("mirror@%d[%s]", d.round, strings.Join(keys, ","))
 }
 
@@ -365,9 +346,9 @@ func InitiallyDead() sim.Builder {
 }
 
 func (deadDevice) Init(self string, neighbors []string, input sim.Input) {}
-func (deadDevice) Step(round int, inbox sim.Inbox) sim.Outbox           { return nil }
-func (deadDevice) Snapshot() string                                     { return "dead" }
-func (deadDevice) Output() (sim.Decision, bool)                         { return sim.Decision{}, false }
+func (deadDevice) Step(round int, in, out []sim.Payload)                 {}
+func (deadDevice) Snapshot() string                                      { return "dead" }
+func (deadDevice) Output() (sim.Decision, bool)                          { return sim.Decision{}, false }
 
 // Strategy couples a display name with a way to corrupt a given honest
 // builder, so protocol tests can sweep a whole panel.

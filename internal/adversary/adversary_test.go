@@ -24,13 +24,11 @@ func (d *echoDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.input = input
 }
 
-func (d *echoDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
+func (d *echoDevice) Step(round int, in, out []sim.Payload) {
 	d.round = round
-	out := sim.Outbox{}
-	for _, nb := range d.nbs {
-		out[nb] = sim.Payload(d.input)
+	for i := range out {
+		out[i] = sim.Payload(d.input)
 	}
-	return out
 }
 
 func (d *echoDevice) Snapshot() string             { return string(d.input) + "@" + sim.EncodeInt(d.round) }
@@ -167,7 +165,7 @@ func TestPanelShape(t *testing.T) {
 		// Every corrupted builder must produce a working device.
 		b := s.Corrupt(echoBuilder)
 		d := b("x", []string{"y"}, "0")
-		d.Step(0, nil)
+		d.Step(0, make([]sim.Payload, 1), make([]sim.Payload, 1))
 		if d.Snapshot() == "" {
 			t.Errorf("strategy %s produced empty snapshot", s.Name)
 		}

@@ -60,8 +60,7 @@ func NewMedian(decideRound int) sim.Builder {
 
 func (d *medianDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.self = self
-	d.nbs = append([]string(nil), neighbors...)
-	sort.Strings(d.nbs)
+	d.nbs = neighbors
 	v, err := sim.DecodeReal(string(input))
 	if err != nil {
 		v = 0
@@ -70,30 +69,32 @@ func (d *medianDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.seen = map[string]float64{self: v}
 }
 
-func (d *medianDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	absorbReals(d.seen, inbox)
+func (d *medianDevice) Step(round int, in, out []sim.Payload) {
+	for i, p := range in {
+		if v, ok := decodeFinite(p); ok {
+			d.seen[d.nbs[i]] = v
+		}
+	}
 	if !d.decided && round >= d.decideRound {
 		vals := valuesWithDefault(d.seen, d.nbs, d.value)
 		d.decision = median(vals)
 		d.decided = true
 	}
-	out := sim.Outbox{}
-	for _, nb := range d.nbs {
-		out[nb] = sim.Payload(sim.EncodeReal(d.value))
-	}
-	return out
+	broadcastReal(out, d.value)
 }
 
-func absorbReals(seen map[string]float64, inbox sim.Inbox) {
-	senders := make([]string, 0, len(inbox))
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	for _, s := range senders {
-		if v, err := sim.DecodeReal(string(inbox[s])); err == nil && !math.IsNaN(v) && !math.IsInf(v, 0) {
-			seen[s] = v
-		}
+// decodeFinite decodes a real payload, rejecting silence, garbage, NaN
+// and infinities.
+func decodeFinite(p sim.Payload) (float64, bool) {
+	v, err := sim.DecodeReal(string(p))
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
+// broadcastReal sends v to every neighbor.
+func broadcastReal(out []sim.Payload, v float64) {
+	p := sim.Payload(sim.EncodeReal(v))
+	for i := range out {
+		out[i] = p
 	}
 }
 
@@ -189,8 +190,7 @@ func NewDLPSW(f int, peers []string, rounds int) sim.Builder {
 
 func (d *dlpswDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.self = self
-	d.nbs = append([]string(nil), neighbors...)
-	sort.Strings(d.nbs)
+	d.nbs = neighbors
 	v, err := sim.DecodeReal(string(input))
 	if err != nil {
 		v = 0
@@ -198,7 +198,7 @@ func (d *dlpswDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.value = v
 }
 
-func (d *dlpswDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
+func (d *dlpswDevice) Step(round int, in, out []sim.Payload) {
 	if round > 0 && !d.decided {
 		vals := make([]float64, 0, len(d.peers))
 		vals = append(vals, d.value)
@@ -207,8 +207,8 @@ func (d *dlpswDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 				continue
 			}
 			v := d.value // silent or garbled peers count as our own value
-			if payload, ok := inbox[p]; ok {
-				if x, err := sim.DecodeReal(string(payload)); err == nil && !math.IsNaN(x) && !math.IsInf(x, 0) {
+			if s := sim.Slot(d.nbs, p); s >= 0 {
+				if x, ok := decodeFinite(in[s]); ok {
 					v = x
 				}
 			}
@@ -220,14 +220,9 @@ func (d *dlpswDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 			d.decision = d.value
 		}
 	}
-	if d.decided {
-		return nil
+	if !d.decided {
+		broadcastReal(out, d.value)
 	}
-	out := sim.Outbox{}
-	for _, nb := range d.nbs {
-		out[nb] = sim.Payload(sim.EncodeReal(d.value))
-	}
-	return out
 }
 
 // Reduce implements the DLPSW averaging function: sort, discard the f

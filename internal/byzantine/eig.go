@@ -39,21 +39,9 @@ func NewEIG(f int, peers []string) sim.Builder {
 	}
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
 		d := &eigFlatDevice{shape: shape}
-		d.init(self, sortedNames(neighbors), input)
+		d.init(self, neighbors, input)
 		return d
 	}
-}
-
-// sortedNames returns a sorted copy of names without re-sorting input
-// that is already ordered — the simulator always hands builders sorted
-// neighbor lists, so device construction inside a sweep skips the
-// redundant sort.
-func sortedNames(names []string) []string {
-	out := append([]string(nil), names...)
-	if !sort.StringsAreSorted(out) {
-		sort.Strings(out)
-	}
-	return out
 }
 
 // sanitizeValue keeps values within the claim-encoding alphabet; anything

@@ -155,7 +155,6 @@ type eigFlatDevice struct {
 	vals      []string // slot -> value; "" = absent (stored values are never empty)
 	extra     map[string]string
 	claims    []string
-	senders   []string
 	decided   bool
 	decision  string
 }
@@ -169,10 +168,10 @@ var _ sim.Fingerprinter = (*eigFlatDevice)(nil)
 func (d *eigFlatDevice) DeviceFingerprint() string { return d.shape.fp }
 
 func (d *eigFlatDevice) Init(self string, neighbors []string, input sim.Input) {
-	d.init(self, sortedNames(neighbors), input)
+	d.init(self, neighbors, input)
 }
 
-// init takes ownership of the sorted neighbors slice.
+// init keeps the (sorted, read-only) neighbors slice.
 func (d *eigFlatDevice) init(self string, neighbors []string, input sim.Input) {
 	sh := d.shape
 	idx, ok := sh.index[self]
@@ -197,39 +196,35 @@ func (d *eigFlatDevice) init(self string, neighbors []string, input sim.Input) {
 	d.decision = ""
 }
 
-func (d *eigFlatDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
+func (d *eigFlatDevice) Step(round int, in, out []sim.Payload) {
 	sh := d.shape
 	if round > sh.f+1 || d.decided {
 		if round == sh.f+1 && !d.decided {
-			d.finishAbsorb(round, inbox)
+			d.finishAbsorb(round, in)
 		}
-		return nil
+		return
 	}
 	if round == 0 {
 		// Self-delivery of the level-1 claim, then broadcast it.
 		d.vals[sh.offset[1]+d.selfIdx] = d.input
-		return d.broadcast(sim.Payload("=" + d.input))
+		broadcast(out, sim.Payload("="+d.input))
+		return
 	}
-	d.finishAbsorb(round, inbox)
+	d.finishAbsorb(round, in)
 	if round == sh.f+1 {
-		return nil
+		return
 	}
 	claims := d.claimsAndSelfDeliver(round)
 	if len(claims) == 0 {
-		return d.broadcast(sim.Payload("-")) // keep traffic shape regular
+		broadcast(out, "-") // keep traffic shape regular
+		return
 	}
-	return d.broadcast(sim.Payload(strings.Join(claims, ";")))
+	broadcast(out, sim.Payload(strings.Join(claims, ";")))
 }
 
-func (d *eigFlatDevice) finishAbsorb(round int, inbox sim.Inbox) {
-	senders := d.senders[:0]
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	d.senders = senders
-	for _, s := range senders {
-		d.absorb(s, inbox[s], round)
+func (d *eigFlatDevice) finishAbsorb(round int, in []sim.Payload) {
+	for i, p := range in {
+		d.absorb(d.neighbors[i], p, round)
 	}
 	if round == d.shape.f+1 {
 		d.decision = d.resolveRoot()
@@ -414,12 +409,11 @@ func (d *eigFlatDevice) resolveRoot() string {
 	return rec(0, 0, 0)
 }
 
-func (d *eigFlatDevice) broadcast(p sim.Payload) sim.Outbox {
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = p
+// broadcast sends p to every neighbor.
+func broadcast(out []sim.Payload, p sim.Payload) {
+	for i := range out {
+		out[i] = p
 	}
-	return out
 }
 
 // Snapshot canonically encodes the whole EIG tree plus decision status,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -69,33 +70,37 @@ func TestFlatEIGMatchesMapReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		// The neighbors are the other peers plus one outsider, a legal
+		// Byzantine sender the flat slot space cannot index.
+		nbs := []string{"outsider"}
+		for _, p := range peers {
+			if p != self {
+				nbs = append(nbs, p)
+			}
+		}
+		sort.Strings(nbs)
 		flat := &eigFlatDevice{shape: shape}
-		flat.Init(self, peers, sim.Input(input))
+		flat.Init(self, nbs, sim.Input(input))
 		ref := &eigMapDevice{f: f, peers: append([]string(nil), peers...)}
-		ref.Init(self, peers, sim.Input(input))
+		ref.Init(self, nbs, sim.Input(input))
 
 		if flat.DeviceFingerprint() != ref.DeviceFingerprint() {
 			t.Fatalf("trial %d: fingerprints differ: %q vs %q", trial, flat.DeviceFingerprint(), ref.DeviceFingerprint())
 		}
 		for round := 0; round < EIGRounds(f)+1; round++ {
-			inbox := sim.Inbox{}
-			for _, p := range peers {
-				if p == self || rng.Intn(4) == 0 {
-					continue // silent peer
+			in := make([]sim.Payload, len(nbs))
+			for i, nb := range nbs {
+				if nb == "outsider" && rng.Intn(3) != 0 || nb != "outsider" && rng.Intn(4) == 0 {
+					continue // silent neighbor
 				}
-				inbox[p] = randomClaimPayload(rng, peers)
+				in[i] = randomClaimPayload(rng, peers)
 			}
-			if rng.Intn(3) == 0 {
-				inbox["outsider"] = randomClaimPayload(rng, peers)
-			}
-			outFlat := flat.Step(round, inbox)
-			outRef := ref.Step(round, inbox)
-			if len(outFlat) != len(outRef) {
-				t.Fatalf("trial %d round %d: outbox sizes %d vs %d", trial, round, len(outFlat), len(outRef))
-			}
-			for to, p := range outRef {
-				if outFlat[to] != p {
-					t.Fatalf("trial %d round %d: payload to %s differs:\nflat: %q\nref:  %q", trial, round, to, outFlat[to], p)
+			outFlat, outRef := make([]sim.Payload, len(nbs)), make([]sim.Payload, len(nbs))
+			flat.Step(round, in, outFlat)
+			ref.Step(round, in, outRef)
+			for i, p := range outRef {
+				if outFlat[i] != p {
+					t.Fatalf("trial %d round %d: payload to %s differs:\nflat: %q\nref:  %q", trial, round, nbs[i], outFlat[i], p)
 				}
 			}
 			if sf, sr := flat.Snapshot(), ref.Snapshot(); sf != sr {

@@ -42,10 +42,10 @@ func (d *eigMapDevice) DeviceFingerprint() string {
 }
 
 func (d *eigMapDevice) Init(self string, neighbors []string, input sim.Input) {
-	d.init(self, sortedNames(neighbors), input)
+	d.init(self, neighbors, input)
 }
 
-// init takes ownership of the sorted neighbors slice.
+// init keeps the (sorted, read-only) neighbors slice.
 func (d *eigMapDevice) init(self string, neighbors []string, input sim.Input) {
 	d.self = self
 	d.neighbors = neighbors
@@ -115,21 +115,22 @@ func (d *eigMapDevice) isPeer(name string) bool {
 // Step implements the EIG schedule: Step(0) broadcasts the input (level-1
 // claims); Step(r) for 1 <= r <= f absorbs level-r claims and relays
 // level-(r+1) claims; Step(f+1) absorbs the final level and decides.
-func (d *eigMapDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
+func (d *eigMapDevice) Step(round int, in, out []sim.Payload) {
 	if round > d.f+1 || d.decided {
 		if round == d.f+1 && !d.decided {
-			d.finishAbsorb(round, inbox)
+			d.finishAbsorb(round, in)
 		}
-		return nil
+		return
 	}
 	if round == 0 {
 		// Self-delivery of the level-1 claim, then broadcast it.
 		d.val[d.self] = d.input
-		return d.broadcast(sim.Payload("=" + d.input))
+		broadcast(out, sim.Payload("="+d.input))
+		return
 	}
-	d.finishAbsorb(round, inbox)
+	d.finishAbsorb(round, in)
 	if round == d.f+1 {
-		return nil
+		return
 	}
 	claims := d.claimsAtLevel(round)
 	// Self-delivery: our own relays become val(σ·self).
@@ -142,32 +143,20 @@ func (d *eigMapDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 		}
 	}
 	if len(claims) == 0 {
-		return d.broadcast(sim.Payload("-")) // keep traffic shape regular
+		broadcast(out, "-") // keep traffic shape regular
+		return
 	}
-	return d.broadcast(sim.Payload(strings.Join(claims, ";")))
+	broadcast(out, sim.Payload(strings.Join(claims, ";")))
 }
 
-func (d *eigMapDevice) finishAbsorb(round int, inbox sim.Inbox) {
-	senders := make([]string, 0, len(inbox))
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	for _, s := range senders {
-		d.absorb(s, inbox[s], round)
+func (d *eigMapDevice) finishAbsorb(round int, in []sim.Payload) {
+	for i, p := range in {
+		d.absorb(d.neighbors[i], p, round)
 	}
 	if round == d.f+1 {
 		d.decision = d.resolve("")
 		d.decided = true
 	}
-}
-
-func (d *eigMapDevice) broadcast(p sim.Payload) sim.Outbox {
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = p
-	}
-	return out
 }
 
 // resolve computes the decision value of a tree label bottom-up: leaves

@@ -22,7 +22,7 @@ import (
 func NewOwnInput(decideRound int) sim.Builder {
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
 		return &simpleDevice{
-			self: self, nbs: sortedCopy(neighbors), input: boolOrDefault(string(input)),
+			self: self, nbs: neighbors, input: boolOrDefault(string(input)),
 			decideRound: decideRound, kind: "own",
 			decide: func(d *simpleDevice) string { return d.input },
 		}
@@ -35,7 +35,7 @@ func NewOwnInput(decideRound int) sim.Builder {
 func NewConstant(value string, decideRound int) sim.Builder {
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
 		return &simpleDevice{
-			self: self, nbs: sortedCopy(neighbors), input: boolOrDefault(string(input)),
+			self: self, nbs: neighbors, input: boolOrDefault(string(input)),
 			decideRound: decideRound, kind: "const" + value,
 			decide: func(d *simpleDevice) string { return value },
 		}
@@ -50,7 +50,7 @@ func NewConstant(value string, decideRound int) sim.Builder {
 func NewMajority(decideRound int) sim.Builder {
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
 		d := &simpleDevice{
-			self: self, nbs: sortedCopy(neighbors), input: boolOrDefault(string(input)),
+			self: self, nbs: neighbors, input: boolOrDefault(string(input)),
 			decideRound: decideRound, kind: "maj",
 		}
 		d.view = map[string]string{self: d.input}
@@ -66,7 +66,7 @@ func NewMajority(decideRound int) sim.Builder {
 func NewEcho(decideRound int) sim.Builder {
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
 		d := &simpleDevice{
-			self: self, nbs: sortedCopy(neighbors), input: boolOrDefault(string(input)),
+			self: self, nbs: neighbors, input: boolOrDefault(string(input)),
 			decideRound: decideRound, kind: "echo",
 		}
 		d.view = map[string]string{self: d.input}
@@ -97,7 +97,7 @@ func NewSeededMajority(seed int64, decideRound int) sim.Builder {
 		h.Write([]byte(self))
 		coin := rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
 		d := &simpleDevice{
-			self: self, nbs: sortedCopy(neighbors), input: boolOrDefault(string(input)),
+			self: self, nbs: neighbors, input: boolOrDefault(string(input)),
 			decideRound: decideRound, kind: fmt.Sprintf("seededmaj%d", seed),
 		}
 		d.view = map[string]string{self: d.input}
@@ -129,12 +129,6 @@ func EncodeCoin(c int) string {
 		return "1"
 	}
 	return "0"
-}
-
-func sortedCopy(s []string) []string {
-	c := append([]string(nil), s...)
-	sort.Strings(c)
-	return c
 }
 
 func majorityOfView(view map[string]string) string {
@@ -182,7 +176,7 @@ func (d *simpleDevice) DeviceFingerprint() string {
 
 func (d *simpleDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.self = self
-	d.nbs = sortedCopy(neighbors)
+	d.nbs = neighbors
 	d.input = boolOrDefault(string(input))
 	if d.view != nil {
 		d.view = map[string]string{self: d.input}
@@ -192,25 +186,20 @@ func (d *simpleDevice) Init(self string, neighbors []string, input sim.Input) {
 	}
 }
 
-func (d *simpleDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	senders := make([]string, 0, len(inbox))
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	for _, s := range senders {
-		d.ingest(s, inbox[s], round)
+func (d *simpleDevice) Step(round int, in, out []sim.Payload) {
+	for i, p := range in {
+		if p != sim.None {
+			d.ingest(d.nbs[i], p, round)
+		}
 	}
 	if !d.decided && round >= d.decideRound {
 		d.decided = true
 		d.decision = d.decide(d)
 	}
-	out := sim.Outbox{}
 	msg := d.message(round)
-	for _, nb := range d.nbs {
-		out[nb] = msg
+	for i := range out {
+		out[i] = msg
 	}
-	return out
 }
 
 // message is "v" in round 0 and the canonical view afterwards.

@@ -48,16 +48,16 @@ func NewPhaseKing(f int, peers []string) sim.Builder {
 	fp := fmt.Sprintf("byz/phaseking:f=%d,peers=%s", f, strings.Join(sorted, ","))
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
 		d := &phaseKingDevice{f: f, peers: sorted, fp: fp}
-		d.init(self, sortedNames(neighbors), input)
+		d.init(self, neighbors, input)
 		return d
 	}
 }
 
 func (d *phaseKingDevice) Init(self string, neighbors []string, input sim.Input) {
-	d.init(self, sortedNames(neighbors), input)
+	d.init(self, neighbors, input)
 }
 
-// init takes ownership of the sorted neighbors slice.
+// init keeps the (sorted, read-only) neighbors slice.
 func (d *phaseKingDevice) init(self string, neighbors []string, input sim.Input) {
 	d.self = self
 	d.nbs = neighbors
@@ -82,52 +82,50 @@ func (d *phaseKingDevice) king(k int) string { return d.peers[(k-1)%len(d.peers)
 //	step 2(k-1):   absorb king k-1's tie-break (k > 1), broadcast pref
 //	step 2(k-1)+1: absorb prefs, recompute pref/mult; king k broadcasts
 //	step 2(f+1):   absorb the final king, decide
-func (d *phaseKingDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
+func (d *phaseKingDevice) Step(round int, in, out []sim.Payload) {
 	if d.decided {
-		return nil
+		return
 	}
 	switch {
 	case round%2 == 0:
 		phase := round / 2 // completed phases
 		if phase > 0 {
-			d.applyKing(d.king(phase), inbox)
+			d.applyKing(d.king(phase), in)
 		}
 		if phase == d.f+1 {
 			d.decided = true
 			d.decision = d.pref
-			return nil
+			return
 		}
-		return d.broadcast(sim.Payload(d.pref))
+		broadcast(out, sim.Payload(d.pref))
 	default:
-		d.tally(inbox)
+		d.tally(in)
 		phase := (round + 1) / 2
 		if d.king(phase) == d.self {
-			return d.broadcast(sim.Payload(d.pref))
+			broadcast(out, sim.Payload(d.pref))
 		}
-		return nil
 	}
 }
 
 // tally counts the received preferences (plus our own) and adopts the
 // plurality value, ties favoring DefaultValue. Preferences are canonical
-// booleans, so two counters replace the map.
-func (d *phaseKingDevice) tally(inbox sim.Inbox) {
+// booleans, so two counters replace the map. Only peers count, so
+// slots of neighbors outside the peer set are skipped.
+func (d *phaseKingDevice) tally(in []sim.Payload) {
 	zero, one := 0, 0
 	if d.pref == "1" {
 		one = 1
 	} else {
 		zero = 1
 	}
-	for _, p := range d.peers {
-		if p == d.self {
+	for i, payload := range in {
+		if payload == sim.None || sim.Slot(d.peers, d.nbs[i]) < 0 {
 			continue
 		}
-		if payload, ok := inbox[p]; ok {
-			if boolOrDefault(string(payload)) == "1" {
-				one++
-			} else {
-				zero++
-			}
+		if boolOrDefault(string(payload)) == "1" {
+			one++
+		} else {
+			zero++
 		}
 	}
 	if one > zero {
@@ -139,7 +137,7 @@ func (d *phaseKingDevice) tally(inbox sim.Inbox) {
 
 // applyKing keeps the local preference only with a strong majority
 // (> n/2 + f); otherwise it adopts the king's broadcast value.
-func (d *phaseKingDevice) applyKing(king string, inbox sim.Inbox) {
+func (d *phaseKingDevice) applyKing(king string, in []sim.Payload) {
 	if 2*d.mult > len(d.peers)+2*d.f {
 		return
 	}
@@ -147,18 +145,10 @@ func (d *phaseKingDevice) applyKing(king string, inbox sim.Inbox) {
 		return // our own broadcast was our pref
 	}
 	kingValue := DefaultValue
-	if payload, ok := inbox[king]; ok {
-		kingValue = boolOrDefault(string(payload))
+	if s := sim.Slot(d.nbs, king); s >= 0 && in[s] != sim.None {
+		kingValue = boolOrDefault(string(in[s]))
 	}
 	d.pref = kingValue
-}
-
-func (d *phaseKingDevice) broadcast(p sim.Payload) sim.Outbox {
-	out := sim.Outbox{}
-	for _, nb := range d.nbs {
-		out[nb] = p
-	}
-	return out
 }
 
 func (d *phaseKingDevice) Snapshot() string {

@@ -71,7 +71,7 @@ func NewTurpinCoan(f int, peers []string) sim.Builder {
 	innerB := NewEIG(f, sorted)
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
 		d := &turpinCoan{f: f, peers: sorted, fp: fp, innerB: innerB}
-		d.init(self, sortedNames(neighbors), input)
+		d.init(self, neighbors, input)
 		return d
 	}
 }
@@ -81,10 +81,10 @@ func NewTurpinCoan(f int, peers []string) sim.Builder {
 func TurpinCoanRounds(f int) int { return 2 + EIGRounds(f) }
 
 func (d *turpinCoan) Init(self string, neighbors []string, input sim.Input) {
-	d.init(self, sortedNames(neighbors), input)
+	d.init(self, neighbors, input)
 }
 
-// init takes ownership of the sorted neighbors slice.
+// init keeps the (sorted, read-only) neighbors slice.
 func (d *turpinCoan) init(self string, neighbors []string, input sim.Input) {
 	d.self = self
 	d.neighbors = neighbors
@@ -104,12 +104,12 @@ func sanitizeMV(v string) string {
 	return v
 }
 
-func (d *turpinCoan) Step(round int, inbox sim.Inbox) sim.Outbox {
+func (d *turpinCoan) Step(round int, in, out []sim.Payload) {
 	switch {
 	case round == 0:
-		return d.broadcast(sim.Payload(d.input))
+		broadcast(out, sim.Payload(d.input))
 	case round == 1:
-		d.tallyPeers(inbox, d.input)
+		d.tallyPeers(in, d.input)
 		// Adopt the largest value with an n-f quorum (the reference scan
 		// over sorted keys kept overwriting, so the last — maximal —
 		// qualifier won), else ⊥.
@@ -120,9 +120,9 @@ func (d *turpinCoan) Step(round int, inbox sim.Inbox) sim.Outbox {
 				d.y, found = v, true
 			}
 		}
-		return d.broadcast(sim.Payload(d.y))
+		broadcast(out, sim.Payload(d.y))
 	case round == 2:
-		d.tallyPeers(inbox, d.y)
+		d.tallyPeers(in, d.y)
 		vote := false
 		for i, v := range d.tvals {
 			if v == tcBot {
@@ -143,9 +143,10 @@ func (d *turpinCoan) Step(round int, inbox sim.Inbox) sim.Outbox {
 			innerB = NewEIG(d.f, d.peers)
 		}
 		d.inner = innerB(d.self, d.neighbors, sim.BoolInput(vote))
-		return d.inner.Step(0, sim.Inbox{})
+		// The inner agreement starts here: its round 0 hears nothing.
+		d.inner.Step(0, make([]sim.Payload, len(in)), out)
 	default:
-		out := d.inner.Step(round-2, inbox)
+		d.inner.Step(round-2, in, out)
 		if dec, ok := d.inner.Output(); ok && !d.decided {
 			d.decided = true
 			if dec.Value == "1" && d.altOK {
@@ -154,7 +155,6 @@ func (d *turpinCoan) Step(round int, inbox sim.Inbox) sim.Outbox {
 				d.decision = DefaultValue
 			}
 		}
-		return out
 	}
 }
 
@@ -162,7 +162,7 @@ func (d *turpinCoan) Step(round int, inbox sim.Inbox) sim.Outbox {
 // (self-delivery via own), treating silence as ⊥. Distinct values land in
 // the reused tvals/tcnts scratch (at most n+1 of them, so the linear scan
 // beats a map).
-func (d *turpinCoan) tallyPeers(inbox sim.Inbox, own string) {
+func (d *turpinCoan) tallyPeers(in []sim.Payload, own string) {
 	d.tvals, d.tcnts = d.tvals[:0], d.tcnts[:0]
 	d.tallyAdd(own)
 	for _, p := range d.peers {
@@ -170,8 +170,8 @@ func (d *turpinCoan) tallyPeers(inbox sim.Inbox, own string) {
 			continue
 		}
 		v := tcBot
-		if payload, ok := inbox[p]; ok {
-			s := string(payload)
+		if s := sim.Slot(d.neighbors, p); s >= 0 && in[s] != sim.None {
+			s := string(in[s])
 			if s == tcBot {
 				v = tcBot
 			} else if sanitized := sanitizeMV(s); sanitized == s {
@@ -191,14 +191,6 @@ func (d *turpinCoan) tallyAdd(v string) {
 		}
 	}
 	d.tvals, d.tcnts = append(d.tvals, v), append(d.tcnts, 1)
-}
-
-func (d *turpinCoan) broadcast(p sim.Payload) sim.Outbox {
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = p
-	}
-	return out
 }
 
 func (d *turpinCoan) Snapshot() string {

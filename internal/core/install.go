@@ -23,22 +23,24 @@ import (
 	"flm/internal/sim"
 )
 
-// renamedDevice makes a device built for a node of G run at a node of S:
-// it translates neighbor names in both directions, so the inner device
-// observes exactly the local world it would see in G. Phi preserves
-// neighborhoods, so the translation is a bijection on the node's edges.
+// renamedDevice makes a device built for a node of G run at a node of S.
+// Phi preserves neighborhoods, so it is a bijection between the S-node's
+// edges and its G-image's: in slot terms, a permutation. The inner device
+// observes exactly the local world it would see in G.
 type renamedDevice struct {
 	inner sim.Device
-	gName string            // the inner device's G-identity
-	toG   map[string]string // S-neighbor name -> G-neighbor name
-	//flmlint:allow flmfingerprint inverse of toG, which the fingerprint hashes in full
-	toS map[string]string // G-neighbor name -> S-neighbor name
+	ren   *renaming // shared by every build of the same S-node
 
-	// Translation buffers reused across Steps (the executor owns the
-	// S-inbox and we own the returned S-outbox per the Device contract,
-	// so neither is retained by anyone between rounds).
-	gInbox sim.Inbox
-	out    sim.Outbox
+	// The inner device's buffers, in G-slot order. As the inner device's
+	// executor, Step clears gOut before each call.
+	gIn, gOut []sim.Payload
+}
+
+// renaming is the neighborhood bijection of one S-node, fixed at install
+// time: S-slot i holds the G-neighbor in G-slot perm[i].
+type renaming struct {
+	perm []int
+	fp   string // "renamed:<gName>[sNb>gNb,...]|", the fingerprint prefix
 }
 
 var _ sim.Device = (*renamedDevice)(nil)
@@ -48,54 +50,33 @@ func (d *renamedDevice) Init(self string, neighbors []string, input sim.Input) {
 	// The inner device was initialized with its G-identity at build time.
 }
 
-func (d *renamedDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	if d.gInbox == nil {
-		d.gInbox = make(sim.Inbox, len(d.toG))
-	} else {
-		clear(d.gInbox)
+func (d *renamedDevice) Step(round int, in, out []sim.Payload) {
+	perm := d.ren.perm
+	if d.gIn == nil {
+		d.gIn = make([]sim.Payload, len(perm))
+		d.gOut = make([]sim.Payload, len(perm))
 	}
-	for from, p := range inbox {
-		gFrom, ok := d.toG[from]
-		if !ok {
-			continue // cannot happen on a verified cover
-		}
-		d.gInbox[gFrom] = p
+	for i, g := range perm {
+		d.gIn[g] = in[i]
 	}
-	gOut := d.inner.Step(round, d.gInbox)
-	if d.out == nil {
-		d.out = make(sim.Outbox, len(gOut))
-	} else {
-		clear(d.out)
+	clear(d.gOut)
+	d.inner.Step(round, d.gIn, d.gOut)
+	for i, g := range perm {
+		out[i] = d.gOut[g]
 	}
-	for gTo, p := range gOut {
-		sTo, ok := d.toS[gTo]
-		if !ok {
-			// The inner device addressed a G-node with no local image;
-			// drop it (NewSystem would reject the unknown name). A
-			// correct cover gives every G-neighbor an image.
-			continue
-		}
-		d.out[sTo] = p
-	}
-	return d.out
 }
 
 // DeviceFingerprint is the inner device's fingerprint qualified by the
 // G-identity and the neighbor renaming. The inner fingerprint covers
-// type and constructor parameters; gName and the toG map pin down the
-// (self, neighbors) the inner device was actually built with, which for
-// an installed device differ from the S-node the executor keys on.
+// type and constructor parameters; the renaming pins down the (self,
+// neighbors) the inner device was actually built with, which for an
+// installed device differ from the S-node the executor keys on.
 func (d *renamedDevice) DeviceFingerprint() string {
 	inner := sim.FingerprintOf(d.inner)
 	if inner == "" {
 		return ""
 	}
-	pairs := make([]string, 0, len(d.toG))
-	for sNb, gNb := range d.toG {
-		pairs = append(pairs, sNb+">"+gNb)
-	}
-	sort.Strings(pairs)
-	return "renamed:" + d.gName + "[" + strings.Join(pairs, ",") + "]|" + inner
+	return d.ren.fp + inner
 }
 
 // Snapshot is the inner device's snapshot: the installed node is
@@ -127,6 +108,7 @@ func InstallCover(cover *graph.Cover, builders map[string]sim.Builder, inputs ma
 		Builders: make(map[string]sim.Builder, s.N()),
 		Inputs:   make(map[string]sim.Input, s.N()),
 	}
+	sPorts := s.Ports()
 	for sn := 0; sn < s.N(); sn++ {
 		sName := s.Name(sn)
 		gNode := cover.Phi[sn]
@@ -141,22 +123,29 @@ func InstallCover(cover *graph.Cover, builders map[string]sim.Builder, inputs ma
 		}
 		p.Inputs[sName] = input
 
-		toG := make(map[string]string, s.Degree(sn))
-		toS := make(map[string]string, s.Degree(sn))
-		for _, nb := range s.Neighbors(sn) {
-			sNb, gNb := s.Name(nb), g.Name(cover.Phi[nb])
-			toG[sNb] = gNb
-			toS[gNb] = sNb
+		// S-slot i holds S-neighbor nbs[i], whose image under Phi sits in
+		// slot perm[i] of the inner device's sorted G-neighbors.
+		nbs := sPorts.Nbrs[sn]
+		images := make([]string, len(nbs))
+		pairs := make([]string, len(nbs))
+		for i, nb := range nbs {
+			images[i] = g.Name(cover.Phi[nb])
+			pairs[i] = s.Name(nb) + ">" + images[i]
 		}
-		gNeighbors := make([]string, 0, len(toS))
-		for gNb := range toS {
-			gNeighbors = append(gNeighbors, gNb)
-		}
+		sort.Strings(pairs)
+		gNeighbors := append([]string(nil), images...)
 		sort.Strings(gNeighbors)
+		ren := &renaming{
+			perm: make([]int, len(nbs)),
+			fp:   "renamed:" + gName + "[" + strings.Join(pairs, ",") + "]|",
+		}
+		for i, img := range images {
+			ren.perm[i] = sort.SearchStrings(gNeighbors, img)
+		}
 		// Capture loop variables for the closure.
 		b, in, gn := builder, input, gName
 		p.Builders[sName] = func(self string, neighbors []string, _ sim.Input) sim.Device {
-			return &renamedDevice{inner: b(gn, gNeighbors, in), gName: gn, toG: toG, toS: toS}
+			return &renamedDevice{inner: b(gn, gNeighbors, in), ren: ren}
 		}
 	}
 	inputsCopy := make(map[string]sim.Input, len(p.Inputs))

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"flm/internal/graph"
 	"flm/internal/obs"
 	"flm/internal/sim"
 )
@@ -72,6 +71,9 @@ func spliceScenarioTraced(inst *Installation, runS *sim.Run, u []int, builders m
 // cancellable context would bypass the run cache).
 func spliceScenarioCtx(ctx context.Context, inst *Installation, runS *sim.Run, u []int, builders map[string]sim.Builder) (*Splice, error) {
 	cover := inst.Cover
+	if runS.Edges == nil {
+		return nil, fmt.Errorf("core: cannot splice a fast-mode covering run (no edges recorded)")
+	}
 	if err := cover.InducedIsomorphic(u); err != nil {
 		return nil, fmt.Errorf("core: scenario not spliceable: %w", err)
 	}
@@ -114,12 +116,8 @@ func spliceScenarioCtx(ctx context.Context, inst *Installation, runS *sim.Run, u
 				continue // traffic between faulty nodes is irrelevant
 			}
 			pre := cover.EdgePreimage(sn, gn)
-			e := graph.Edge{From: s.Name(pre), To: s.Name(sn)}
-			seq, found := runS.Edges[e]
-			if !found {
-				return nil, fmt.Errorf("core: covering run lacks border edge %v", e)
-			}
-			scripts[g.Name(gv)] = seq
+			id, _ := s.EdgeID(s.Name(pre), s.Name(sn))
+			scripts[g.Name(gv)] = runS.Edges[id]
 			sp.Rename[s.Name(pre)] = gName
 		}
 		p.Builders[gName] = sim.ReplayBuilder(scripts)

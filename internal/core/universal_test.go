@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -46,8 +45,7 @@ func newTableDevice(seed uint64, decideRound int, chatty bool) sim.Builder {
 
 func (d *tableDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.self = self
-	d.nbs = append([]string(nil), neighbors...)
-	sort.Strings(d.nbs)
+	d.nbs = neighbors
 	d.input = string(input)
 	d.transcript = []string{"in:" + d.input}
 }
@@ -62,14 +60,11 @@ func (d *tableDevice) hash(parts ...string) uint64 {
 	return h.Sum64()
 }
 
-func (d *tableDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	senders := make([]string, 0, len(inbox))
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	for _, s := range senders {
-		d.transcript = append(d.transcript, fmt.Sprintf("r%d:%s:%s", round, s, inbox[s]))
+func (d *tableDevice) Step(round int, in, out []sim.Payload) {
+	for i, p := range in {
+		if p != sim.None {
+			d.transcript = append(d.transcript, fmt.Sprintf("r%d:%s:%s", round, d.nbs[i], p))
+		}
 	}
 	if !d.decided && round >= d.decideRound {
 		d.decided = true
@@ -83,15 +78,13 @@ func (d *tableDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 			d.decision = fmt.Sprint(d.hash(d.transcript...) % 2)
 		}
 	}
-	out := sim.Outbox{}
-	for _, nb := range d.nbs {
+	for i, nb := range d.nbs {
 		if d.chatty {
-			out[nb] = sim.Payload(fmt.Sprintf("%x", d.hash(append([]string{nb}, d.transcript...)...)))
+			out[i] = sim.Payload(fmt.Sprintf("%x", d.hash(append([]string{nb}, d.transcript...)...)))
 		} else {
-			out[nb] = sim.Payload(d.input)
+			out[i] = sim.Payload(d.input)
 		}
 	}
-	return out
 }
 
 // sawOnly reports whether every payload fragment mentioning a value

@@ -27,6 +27,7 @@ type Router struct {
 	f       int
 	paths   map[[2]int][][]int
 	maxHops int
+	byName  []int // node indices in name order: the slot order of peer lists
 }
 
 // NewRouter computes 2f+1 vertex-disjoint paths for every ordered pair of
@@ -38,6 +39,11 @@ func NewRouter(g *graph.Graph, f int) (*Router, error) {
 		return nil, fmt.Errorf("dolev: connectivity %d < 2f+1 = %d", conn, need)
 	}
 	r := &Router{g: g, f: f, paths: make(map[[2]int][][]int)}
+	r.byName = make([]int, g.N())
+	for i := range r.byName {
+		r.byName[i] = i
+	}
+	sort.Slice(r.byName, func(i, j int) bool { return g.Name(r.byName[i]) < g.Name(r.byName[j]) })
 	for u := 0; u < g.N(); u++ {
 		for v := u + 1; v < g.N(); v++ {
 			paths, err := g.VertexDisjointPaths(u, v, need)
@@ -179,22 +185,23 @@ func decodePiece(r *Router, s string) (piece, bool) {
 
 // overlayDevice runs an inner complete-graph device over Dolev routing.
 type overlayDevice struct {
-	router  *Router
-	inner   sim.Device
-	self    int
-	nbs     map[string]bool
-	outbox  []piece               // pieces to transmit next round
-	arrived map[arrivalKey]string // (origin, innerRound, pathIdx) -> payload (first copy wins)
+	router   *Router
+	inner    sim.Device
+	self     int
+	selfRank int                   // self's position in router.byName
+	nbIdx    []int                 // node index of each neighbor slot
+	slotOf   []int                 // node index -> neighbor slot, -1 for non-neighbors
+	outbox   []piece               // pieces to transmit next round
+	arrived  map[arrivalKey]string // (origin, innerRound, pathIdx) -> payload (first copy wins)
 
 	// Reusable per-step scratch. The overlay steps every simulator round
 	// for every node, so transient maps and slices here would otherwise
 	// dominate the sweep allocator profile.
-	senders    []string            // sorted inbox senders (ingest)
-	innerInbox sim.Inbox           // decoded majority inbox (stepInner)
-	tallyVals  []string            // distinct copies seen on the paths (stepInner)
-	tallyCnts  []int               // matching counts (stepInner)
-	byNeighbor map[string][]string // encoded fragments per next hop (flush)
-	encBuf     []byte              // piece wire-encoding buffer (flush)
+	innerIn, innerOut []sim.Payload // the inner device's buffers, by peer slot (stepInner)
+	tallyVals         []string      // distinct copies seen on the paths (stepInner)
+	tallyCnts         []int         // matching counts (stepInner)
+	byNeighbor        [][]string    // encoded fragments per next-hop slot (flush)
+	encBuf            []byte        // piece wire-encoding buffer (flush)
 }
 
 type arrivalKey struct {
@@ -209,56 +216,69 @@ var _ sim.Device = (*overlayDevice)(nil)
 // occupies StretchFactor() simulator rounds.
 func Overlay(router *Router, inner sim.Builder) sim.Builder {
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
-		u := router.g.MustIndex(self)
-		peers := make([]string, 0, router.g.N()-1)
-		for _, name := range router.g.Names() {
-			if name != self {
-				peers = append(peers, name)
+		g := router.g
+		u := g.MustIndex(self)
+		d := &overlayDevice{
+			router:   router,
+			self:     u,
+			nbIdx:    make([]int, len(neighbors)),
+			slotOf:   make([]int, g.N()),
+			arrived:  make(map[arrivalKey]string),
+			innerIn:  make([]sim.Payload, g.N()-1),
+			innerOut: make([]sim.Payload, g.N()-1),
+		}
+		peers := make([]string, 0, g.N()-1)
+		for i, v := range router.byName {
+			if v == u {
+				d.selfRank = i
+			} else {
+				peers = append(peers, g.Name(v))
 			}
 		}
-		d := &overlayDevice{
-			router:  router,
-			inner:   inner(self, peers, input),
-			self:    u,
-			nbs:     make(map[string]bool, len(neighbors)),
-			arrived: make(map[arrivalKey]string),
+		d.inner = inner(self, peers, input)
+		for v := range d.slotOf {
+			d.slotOf[v] = -1
 		}
-		for _, nb := range neighbors {
-			d.nbs[nb] = true
+		for i, nb := range neighbors {
+			d.nbIdx[i] = g.MustIndex(nb)
+			d.slotOf[d.nbIdx[i]] = i
 		}
 		return d
 	}
+}
+
+// peer returns the node index of the inner device's peer slot i: the
+// nodes in name order, self skipped.
+func (d *overlayDevice) peer(i int) int {
+	if i >= d.selfRank {
+		i++
+	}
+	return d.router.byName[i]
 }
 
 func (d *overlayDevice) Init(self string, neighbors []string, input sim.Input) {
 	// The inner device was built with its complete-graph view.
 }
 
-func (d *overlayDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	d.ingest(inbox)
+func (d *overlayDevice) Step(round int, in, out []sim.Payload) {
+	d.ingest(in)
 	p := d.router.StretchFactor()
 	if round%p == 0 {
 		innerRound := round / p
 		d.stepInner(innerRound)
 	}
-	return d.flush()
+	d.flush(out)
 }
 
 // ingest validates and routes incoming pieces: recording copies addressed
 // to us, forwarding the rest one hop.
-func (d *overlayDevice) ingest(inbox sim.Inbox) {
-	senders := d.senders[:0]
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	d.senders = senders
-	for _, from := range senders {
-		fromIdx, ok := d.router.g.Index(from)
-		if !ok {
+func (d *overlayDevice) ingest(in []sim.Payload) {
+	for slot, p := range in {
+		if p == sim.None {
 			continue
 		}
-		rest := string(inbox[from])
+		fromIdx := d.nbIdx[slot]
+		rest := string(p)
 		for more := true; more; {
 			var frag string
 			frag, rest, more = strings.Cut(rest, "&")
@@ -292,16 +312,10 @@ func (d *overlayDevice) ingest(inbox sim.Inbox) {
 // stepInner decodes the majority inbox for the inner round and launches
 // the inner device's new messages along all disjoint paths.
 func (d *overlayDevice) stepInner(innerRound int) {
-	if d.innerInbox == nil {
-		d.innerInbox = sim.Inbox{}
-	}
-	clear(d.innerInbox)
-	innerInbox := d.innerInbox
+	clear(d.innerIn)
 	if innerRound > 0 {
-		for origin := 0; origin < d.router.g.N(); origin++ {
-			if origin == d.self {
-				continue
-			}
+		for slot := range d.innerIn {
+			origin := d.peer(slot)
 			// Tally the ≤ 2f+1 path copies in small parallel slices; a map
 			// plus a sorted key slice per origin per round is allocator
 			// noise for a population this size. Ties break toward the
@@ -336,22 +350,21 @@ func (d *overlayDevice) stepInner(innerRound int) {
 			if bestN >= d.router.f+1 {
 				decoded, err := hex.DecodeString(best)
 				if err == nil && len(decoded) > 0 {
-					innerInbox[d.router.g.Name(origin)] = sim.Payload(decoded)
+					d.innerIn[slot] = sim.Payload(decoded)
 				}
 			}
 		}
 	}
-	out := d.inner.Step(innerRound, innerInbox)
-	for to, payload := range out {
-		dest, ok := d.router.g.Index(to)
-		if !ok || payload == sim.None {
+	clear(d.innerOut)
+	d.inner.Step(innerRound, d.innerIn, d.innerOut)
+	for slot, payload := range d.innerOut {
+		if payload == sim.None {
 			continue
 		}
 		encoded := hex.EncodeToString([]byte(payload))
 		for idx := 0; idx < d.router.NumPaths(); idx++ {
-			//flmlint:allow flmdeterminism flush sorts each neighbor's fragments before emission
 			d.outbox = append(d.outbox, piece{
-				origin: d.self, dest: dest, pathIdx: idx, hop: 1,
+				origin: d.self, dest: d.peer(slot), pathIdx: idx, hop: 1,
 				innerRound: innerRound, payload: encoded,
 			})
 		}
@@ -359,31 +372,28 @@ func (d *overlayDevice) stepInner(innerRound int) {
 }
 
 // flush groups queued pieces by next-hop neighbor into one payload each.
-func (d *overlayDevice) flush() sim.Outbox {
+func (d *overlayDevice) flush(out []sim.Payload) {
 	if d.byNeighbor == nil {
-		d.byNeighbor = map[string][]string{}
+		d.byNeighbor = make([][]string, len(out))
 	}
-	byNeighbor := d.byNeighbor
 	for _, pc := range d.outbox {
 		path := d.router.Path(pc.origin, pc.dest, pc.pathIdx)
-		nextNode := d.router.g.Name(path[pc.hop])
-		if !d.nbs[nextNode] {
+		slot := d.slotOf[path[pc.hop]]
+		if slot < 0 {
 			continue // cannot happen with consistent tables
 		}
 		d.encBuf = pc.appendEncode(d.encBuf[:0], d.router)
-		byNeighbor[nextNode] = append(byNeighbor[nextNode], string(d.encBuf))
+		d.byNeighbor[slot] = append(d.byNeighbor[slot], string(d.encBuf))
 	}
 	d.outbox = d.outbox[:0]
-	out := sim.Outbox{}
-	for nb, frags := range byNeighbor {
+	for slot, frags := range d.byNeighbor {
 		if len(frags) == 0 {
-			continue // reset key from an earlier flush; nothing queued now
+			continue
 		}
 		sort.Strings(frags)
-		out[nb] = sim.Payload(strings.Join(frags, "&"))
-		byNeighbor[nb] = frags[:0]
+		out[slot] = sim.Payload(strings.Join(frags, "&"))
+		d.byNeighbor[slot] = frags[:0]
 	}
-	return out
 }
 
 func (d *overlayDevice) Snapshot() string {

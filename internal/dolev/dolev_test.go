@@ -204,12 +204,12 @@ func TestIngestRejectsWrongHop(t *testing.T) {
 		t.Fatalf("expected direct path, got %v", path)
 	}
 	forged := piece{origin: 0, dest: 2, pathIdx: 0, hop: 1, innerRound: 0, payload: "ab"}
-	d.ingest(sim.Inbox{"p1": sim.Payload(forged.encode(r))})
+	d.ingest([]sim.Payload{1: sim.Payload(forged.encode(r)), 2: sim.None}) // from p1
 	if len(d.arrived) != 0 {
 		t.Error("forged piece accepted from wrong sender")
 	}
 	// The same piece from the true sender is accepted.
-	d.ingest(sim.Inbox{"p0": sim.Payload(forged.encode(r))})
+	d.ingest([]sim.Payload{sim.Payload(forged.encode(r)), sim.None, sim.None}) // from p0
 	if len(d.arrived) != 1 {
 		t.Error("authentic piece rejected")
 	}

@@ -163,6 +163,31 @@ func TestCIPerfbenchPinned(t *testing.T) {
 	}
 }
 
+// TestCIFuzzPinned: the workflow runs the time-boxed RunCodec fuzzer,
+// the Makefile target keeps its target and time box, and the seed
+// corpus tier-1 replays is committed.
+func TestCIFuzzPinned(t *testing.T) {
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^  fuzz:$`).Match(ci) || !regexp.MustCompile(`(?m)run:\s+make fuzz$`).Match(ci) {
+		t.Error("CI workflow has no fuzz job running `make fuzz`")
+	}
+	mk, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe := `(?m)^fuzz:\n\t\$\(GO\) test ./internal/sim -run '\^\$\$' -fuzz '\^FuzzRunCodec\$\$' -fuzztime 10s$`
+	if !regexp.MustCompile(recipe).Match(mk) {
+		t.Error("Makefile fuzz target no longer runs FuzzRunCodec for 10s")
+	}
+	corpus, err := os.ReadDir("../sim/testdata/fuzz/FuzzRunCodec")
+	if err != nil || len(corpus) == 0 {
+		t.Errorf("FuzzRunCodec seed corpus missing (%v)", err)
+	}
+}
+
 // TestMakefileTraceDiffPinned: the trace-diff target keeps its three
 // legs (self-diff, committed reference, injected regression expecting
 // exit 3) against the committed fixtures, and the fixtures exist. The

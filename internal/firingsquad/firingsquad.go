@@ -63,8 +63,7 @@ func NewViaBA(f int, peers []string) sim.Builder {
 
 func (d *viaBA) Init(self string, neighbors []string, input sim.Input) {
 	d.self = self
-	d.neighbors = append([]string(nil), neighbors...)
-	sort.Strings(d.neighbors)
+	d.neighbors = neighbors
 	d.stimulus = string(input) == "1"
 	d.fireRound = -1
 }
@@ -77,32 +76,30 @@ func FireTime(f int) int { return f + 3 }
 // Rounds returns the simulator rounds needed to observe firing.
 func Rounds(f int) int { return FireTime(f) + 1 }
 
-func (d *viaBA) Step(round int, inbox sim.Inbox) sim.Outbox {
+func (d *viaBA) Step(round int, in, out []sim.Payload) {
 	switch {
 	case round == 0:
 		// Broadcast the stimulus bit.
-		out := sim.Outbox{}
-		for _, nb := range d.neighbors {
-			out[nb] = sim.Payload(sim.EncodeBool(d.stimulus))
+		for i := range out {
+			out[i] = sim.Payload(sim.EncodeBool(d.stimulus))
 		}
-		return out
 	case round == 1:
 		// Determine the BA input: stimulus here or a claim from anyone.
 		d.heard = d.stimulus
-		for _, p := range inbox {
+		for _, p := range in {
 			if string(p) == "1" {
 				d.heard = true
 			}
 		}
 		d.inner = byzantine.NewEIG(d.f, d.peers)(d.self, d.neighbors, sim.BoolInput(d.heard))
-		return d.inner.Step(0, sim.Inbox{})
+		// The inner agreement starts here: its round 0 hears nothing.
+		d.inner.Step(0, make([]sim.Payload, len(in)), out)
 	default:
-		out := d.inner.Step(round-1, inbox)
+		d.inner.Step(round-1, in, out)
 		if dec, ok := d.inner.Output(); ok && dec.Value == "1" && round >= FireTime(d.f) {
 			d.fired = true
 			d.fireRound = FireTime(d.f)
 		}
-		return out
 	}
 }
 
@@ -129,11 +126,10 @@ func (d *viaBA) Output() (sim.Decision, bool) {
 // so a Byzantine node can stagger fire times — and on inadequate graphs
 // Theorem 4 says no repair is possible.
 type countdown struct {
-	self      string
-	neighbors []string
-	fuse      int
-	origin    int // earliest claimed stimulus round; -1 if none heard
-	fired     bool
+	self   string
+	fuse   int
+	origin int // earliest claimed stimulus round; -1 if none heard
+	fired  bool
 }
 
 var _ sim.Device = (*countdown)(nil)
@@ -156,16 +152,14 @@ func NewCountdown(fuse int) sim.Builder {
 
 func (d *countdown) Init(self string, neighbors []string, input sim.Input) {
 	d.self = self
-	d.neighbors = append([]string(nil), neighbors...)
-	sort.Strings(d.neighbors)
 	d.origin = -1
 	if string(input) == "1" {
 		d.origin = 0
 	}
 }
 
-func (d *countdown) Step(round int, inbox sim.Inbox) sim.Outbox {
-	for _, p := range inbox {
+func (d *countdown) Step(round int, in, out []sim.Payload) {
+	for _, p := range in {
 		s := string(p)
 		if len(s) < 2 || s[0] != 'S' {
 			continue
@@ -178,13 +172,11 @@ func (d *countdown) Step(round int, inbox sim.Inbox) sim.Outbox {
 		d.fired = true
 	}
 	if d.origin < 0 {
-		return nil
+		return
 	}
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = sim.Payload(fmt.Sprintf("S%d", d.origin))
+	for i := range out {
+		out[i] = sim.Payload(fmt.Sprintf("S%d", d.origin))
 	}
-	return out
 }
 
 func (d *countdown) Snapshot() string {

@@ -161,20 +161,101 @@ type Edge struct {
 func (e Edge) String() string { return e.From + "->" + e.To }
 
 // DirectedEdges returns every directed edge, sorted lexicographically.
+// An edge's position in this list is its directed-edge id (see Ports).
 func (g *Graph) DirectedEdges() []Edge {
 	edges := make([]Edge, 0, 2*g.NumEdges())
-	for u := range g.adj {
-		for _, v := range g.adj[u] {
+	ports := g.Ports()
+	for _, u := range g.byName() {
+		for _, v := range ports.Nbrs[u] {
 			edges = append(edges, Edge{From: g.names[u], To: g.names[v]})
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
 	return edges
+}
+
+// Ports numbers the edge slots of a graph. Devices address their
+// neighbors by slot: slot i of node u belongs to Nbrs[u][i], u's
+// neighbors in name order. Directed edges are numbered by their position
+// in DirectedEdges(): u's out-edges are contiguous there, in slot order.
+type Ports struct {
+	Nbrs [][]int // Nbrs[u]: u's neighbor indices sorted by name
+	Out  []int   // the edge u->Nbrs[u][i] has id Out[u]+i
+	Rev  []int   // Rev[id]: the id of the reverse edge
+}
+
+// Ports computes the slot and directed-edge numbering of g.
+func (g *Graph) Ports() Ports {
+	n := g.N()
+	order := g.byName()
+	rank := make([]int, n)
+	for i, u := range order {
+		rank[u] = i
+	}
+	p := Ports{Nbrs: make([][]int, n), Out: make([]int, n)}
+	flat := make([]int, 0, 2*g.NumEdges())
+	id := 0
+	for _, u := range order {
+		p.Out[u] = id
+		start := len(flat)
+		flat = append(flat, g.adj[u]...)
+		nbs := flat[start:len(flat):len(flat)]
+		// adj is in index order, usually close to name order already.
+		for i := 1; i < len(nbs); i++ {
+			for j := i; j > 0 && rank[nbs[j]] < rank[nbs[j-1]]; j-- {
+				nbs[j], nbs[j-1] = nbs[j-1], nbs[j]
+			}
+		}
+		p.Nbrs[u] = nbs
+		id += len(nbs)
+	}
+	// Visiting receivers in name order reaches each sender's out-edges in
+	// its own slot order, so a per-sender cursor walks its edge ids.
+	p.Rev = make([]int, id)
+	cursor := make([]int, n)
+	for _, v := range order {
+		for j, w := range p.Nbrs[v] {
+			p.Rev[p.Out[w]+cursor[w]] = p.Out[v] + j
+			cursor[w]++
+		}
+	}
+	return p
+}
+
+// EdgeID returns the directed-edge id of from->to (its position in
+// DirectedEdges()), or false when the graph has no such edge.
+func (g *Graph) EdgeID(from, to string) (int, bool) {
+	u, ok := g.index[from]
+	if !ok {
+		return 0, false
+	}
+	v, ok := g.index[to]
+	if !ok || !g.HasEdge(u, v) {
+		return 0, false
+	}
+	id := 0
+	for w, name := range g.names {
+		if name < from {
+			id += len(g.adj[w])
+		}
+	}
+	for _, w := range g.adj[u] {
+		if g.names[w] < to {
+			id++
+		}
+	}
+	return id, true
+}
+
+// byName returns the node indices sorted by name.
+func (g *Graph) byName() []int {
+	order := make([]int, g.N())
+	for i := range order {
+		order[i] = i
+	}
+	if !sort.StringsAreSorted(g.names) {
+		sort.Slice(order, func(i, j int) bool { return g.names[order[i]] < g.names[order[j]] })
+	}
+	return order
 }
 
 // Clone returns a deep copy of g.

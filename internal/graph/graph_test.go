@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -137,6 +138,55 @@ func TestDirectedEdgesArePaired(t *testing.T) {
 		if !seen[Edge{From: e.To, To: e.From}] {
 			t.Errorf("edge %v has no reverse", e)
 		}
+	}
+}
+
+// TestPortsNumbering checks the slot and edge-id numbering devices and
+// the executor share, on a graph whose name order differs from its
+// index order (p10 and p11 sort before p2).
+func TestPortsNumbering(t *testing.T) {
+	g := Generated("p", 12)
+	for u := 0; u < g.N(); u++ {
+		g.MustAddEdge(u, (u+1)%g.N())
+		g.MustAddEdge(u, (u+5)%g.N())
+	}
+	ports := g.Ports()
+	edges := g.DirectedEdges()
+	if !sort.SliceIsSorted(edges, func(i, j int) bool {
+		return edges[i].From < edges[j].From || edges[i].From == edges[j].From && edges[i].To < edges[j].To
+	}) {
+		t.Fatalf("directed edges not in lexicographic order: %v", edges)
+	}
+	if len(ports.Rev) != len(edges) {
+		t.Fatalf("%d edge ids, want %d", len(ports.Rev), len(edges))
+	}
+	for u := 0; u < g.N(); u++ {
+		nbs := ports.Nbrs[u]
+		if len(nbs) != g.Degree(u) {
+			t.Fatalf("node %s: %d slots, want degree %d", g.Name(u), len(nbs), g.Degree(u))
+		}
+		for i, v := range nbs {
+			if i > 0 && g.Name(nbs[i-1]) >= g.Name(v) {
+				t.Errorf("node %s: slots not in name order", g.Name(u))
+			}
+			id := ports.Out[u] + i
+			want := Edge{From: g.Name(u), To: g.Name(v)}
+			if edges[id] != want {
+				t.Errorf("edge id %d is %v, want %v", id, edges[id], want)
+			}
+			if got, ok := g.EdgeID(want.From, want.To); !ok || got != id {
+				t.Errorf("EdgeID(%v) = %d,%v, want %d", want, got, ok, id)
+			}
+			if back := edges[ports.Rev[id]]; back != (Edge{From: want.To, To: want.From}) {
+				t.Errorf("Rev of %v is %v", want, back)
+			}
+		}
+	}
+	if _, ok := g.EdgeID("p0", "p2"); ok {
+		t.Error("EdgeID found a non-edge")
+	}
+	if _, ok := g.EdgeID("p0", "zz"); ok {
+		t.Error("EdgeID found an edge to a missing node")
 	}
 }
 

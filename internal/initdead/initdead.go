@@ -108,8 +108,7 @@ func (d *device) DeviceFingerprint() string {
 
 func (d *device) Init(self string, neighbors []string, input sim.Input) {
 	d.self = self
-	d.neighbors = append([]string(nil), neighbors...)
-	sort.Strings(d.neighbors)
+	d.neighbors = neighbors
 	d.input = string(input)
 	d.s1 = map[string]string{self: strconv.Quote(d.input)}
 	d.s2 = map[string][]string{}
@@ -119,12 +118,14 @@ func (d *device) Init(self string, neighbors []string, input sim.Input) {
 // n is the process count: the complete graph's neighborhood plus self.
 func (d *device) n() int { return len(d.neighbors) + 1 }
 
-func (d *device) Step(round int, inbox sim.Inbox) sim.Outbox {
-	// Merge incoming knowledge. Senders are visited in sorted order so
-	// the arrival bookkeeping never observes map iteration order.
+func (d *device) Step(round int, in, out []sim.Payload) {
+	// Merge incoming knowledge, sender by sender in slot order.
 	var newIDs []string
-	for _, from := range sortedKeys(inbox) {
-		for _, rec := range strings.Split(string(inbox[from]), ";") {
+	for _, p := range in {
+		if p == sim.None {
+			continue
+		}
+		for _, rec := range strings.Split(string(p), ";") {
 			id, fresh := d.merge(rec)
 			if fresh {
 				newIDs = append(newIDs, id)
@@ -148,15 +149,13 @@ func (d *device) Step(round int, inbox sim.Inbox) sim.Outbox {
 		d.tryDecide()
 	}
 	if !d.changed {
-		return nil
+		return
 	}
 	d.changed = false
 	msg := sim.Payload(d.encodeKnowledge())
-	out := make(sim.Outbox, len(d.neighbors))
-	for _, nb := range d.neighbors {
-		out[nb] = msg
+	for i := range out {
+		out[i] = msg
 	}
-	return out
 }
 
 // merge folds one encoded record into the knowledge sets, reporting the
@@ -418,15 +417,6 @@ func unquote(q string) string {
 		return q
 	}
 	return s
-}
-
-func sortedKeys(m sim.Inbox) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func sortedKeysOf[V any](m map[string]V) []string {

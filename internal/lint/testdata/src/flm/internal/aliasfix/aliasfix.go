@@ -12,24 +12,27 @@ type Message struct {
 
 type Send struct{ To, Payload string }
 
-var sink map[string]string
+var sink []string
 
 type keeper struct {
-	saved map[string]string
+	saved []string
 	names []string
+	first *string
 }
 
-func (k *keeper) Step(round int, inbox map[string]string) map[string]string {
-	k.saved = inbox // want `keeper\.Step retains the executor-owned inbox map`
-	sink = inbox    // want `keeper\.Step retains the executor-owned inbox map`
-	tmp := inbox
-	k.saved = tmp // want `inbox map \(via local alias\)`
-	for from := range inbox {
-		k.names = append(k.names, from) // append copies the string: ok
+func (k *keeper) Step(round int, in, out []string) {
+	k.saved = in      // want `keeper\.Step retains the executor-owned slot buffer \(in\)`
+	sink = out        // want `keeper\.Step retains the executor-owned slot buffer \(out\)`
+	k.saved = out[1:] // want `slot buffer \(out\)`
+	k.first = &in[0]  // want `slot buffer \(in\)`
+	tmp := in
+	k.saved = tmp // want `slot buffer \(via local alias\)`
+	for _, p := range in {
+		k.names = append(k.names, p) // append copies the string: ok
 	}
-	v := inbox["a"] // a string value cannot alias the map: ok
-	_ = v
-	return nil
+	k.names = append(k.names[:0], out...) // copying the elements: ok
+	v := in[0]                            // a string value cannot alias the slice: ok
+	out[0] = v                            // writing a slot is the point: ok
 }
 
 type ticker struct {

@@ -116,7 +116,6 @@ type dsDevice struct {
 	reg       *Registry
 	self      string
 	peers     []string
-	neighbors []string
 	f         int
 	input     string
 	extracted map[string]map[string]bool // sender -> set of extracted values
@@ -148,8 +147,6 @@ func Rounds(f int) int { return f + 2 }
 
 func (d *dsDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.self = self
-	d.neighbors = append([]string(nil), neighbors...)
-	sort.Strings(d.neighbors)
 	d.input = "0"
 	if string(input) == "1" {
 		d.input = "1"
@@ -162,26 +159,26 @@ func (d *dsDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.decided = false
 }
 
-func (d *dsDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
+func (d *dsDevice) Step(round int, in, out []sim.Payload) {
 	if d.decided {
-		return nil
+		return
 	}
 	if round == 0 {
 		// Start our own instance: sign and broadcast the input.
 		c := chain{sender: d.self, value: d.input}.extend(d.reg, d.self)
 		d.extracted[d.self][d.input] = true
-		return d.broadcastChains([]chain{c})
+		broadcastChains(out, []chain{c})
+		return
 	}
-	// Absorb arrivals: a chain is accepted at round r only with at least
-	// r signatures (the Dolev-Strong timing rule) and at most f+1.
-	senders := make([]string, 0, len(inbox))
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
+	// Absorb arrivals, sender by sender in slot order: a chain is accepted
+	// at round r only with at least r signatures (the Dolev-Strong timing
+	// rule) and at most f+1.
 	var fresh []chain
-	for _, from := range senders {
-		for _, frag := range strings.Split(string(inbox[from]), "&") {
+	for _, p := range in {
+		if p == sim.None {
+			continue
+		}
+		for _, frag := range strings.Split(string(p), "&") {
 			c, ok := decodeChain(d.reg, frag)
 			if !ok || len(c.signers) < round || len(c.signers) > d.f+1 {
 				continue
@@ -202,9 +199,9 @@ func (d *dsDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 	}
 	if round == d.f+1 {
 		d.decide()
-		return nil
+		return
 	}
-	return d.broadcastChains(fresh)
+	broadcastChains(out, fresh)
 }
 
 func contains(list []string, name string) bool {
@@ -216,9 +213,9 @@ func contains(list []string, name string) bool {
 	return false
 }
 
-func (d *dsDevice) broadcastChains(chains []chain) sim.Outbox {
+func broadcastChains(out []sim.Payload, chains []chain) {
 	if len(chains) == 0 {
-		return nil
+		return
 	}
 	frags := make([]string, len(chains))
 	for i, c := range chains {
@@ -226,11 +223,9 @@ func (d *dsDevice) broadcastChains(chains []chain) sim.Outbox {
 	}
 	sort.Strings(frags)
 	payload := sim.Payload(strings.Join(frags, "&"))
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = payload
+	for i := range out {
+		out[i] = payload
 	}
-	return out
 }
 
 // decide resolves each instance (exactly one extracted value, else the

@@ -241,7 +241,7 @@ func TestLateInjectionRejected(t *testing.T) {
 	// The faulty node signs late: it broadcasts a 1-signature chain only
 	// in round 1 (arriving at round 2, which requires >= 2 signatures).
 	late := func(self string, neighbors []string, input sim.Input) sim.Device {
-		return &lateSigner{reg: reg, self: self, neighbors: neighbors}
+		return &lateSigner{reg: reg, self: self}
 	}
 	inputs := map[string]sim.Input{"a": "0", "b": "0", "c": "1"}
 	trial := byzantine.Trial{
@@ -268,23 +268,20 @@ func TestLateInjectionRejected(t *testing.T) {
 }
 
 type lateSigner struct {
-	reg       *Registry
-	self      string
-	neighbors []string
+	reg  *Registry
+	self string
 }
 
 func (d *lateSigner) Init(self string, neighbors []string, input sim.Input) {}
 
-func (d *lateSigner) Step(round int, inbox sim.Inbox) sim.Outbox {
+func (d *lateSigner) Step(round int, in, out []sim.Payload) {
 	if round != 1 {
-		return nil
+		return
 	}
 	c := chain{sender: d.self, value: "1"}.extend(d.reg, d.self)
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = sim.Payload(c.encode())
+	for i := range out {
+		out[i] = sim.Payload(c.encode())
 	}
-	return out
 }
 
 func (d *lateSigner) Snapshot() string             { return "late" }

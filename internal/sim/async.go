@@ -1,6 +1,10 @@
 package sim
 
-import "hash/fnv"
+import (
+	"hash/fnv"
+
+	"flm/internal/graph"
+)
 
 // Adversarial asynchrony. The base model is synchronous: a message sent
 // in round r is delivered in round r+1. A DelaySchedule weakens that
@@ -47,32 +51,35 @@ type DelaySchedule struct {
 	Rules []DelayRule
 }
 
-// delayKey indexes the compiled rule table by message coordinates.
-type delayKey struct {
-	from, to string
-	round    int
-}
-
-// compile resolves the rule list into a lookup table plus the largest
-// extra delay (the executor's ring-buffer window). Inert rules are
-// dropped.
-func (s *DelaySchedule) compile() (map[delayKey]int, int) {
-	if s == nil || len(s.Rules) == 0 {
+// compile resolves the rule list into a dense table of extra delays,
+// indexed id*rounds+round by directed-edge id (see graph.Ports) and send
+// round, plus the largest extra delay (the executor's ring-buffer
+// window). Inert rules, rules off the graph's edges and rules past the
+// horizon are dropped; a nil table means the synchronous model.
+func (s *DelaySchedule) compile(g *graph.Graph, ports graph.Ports, rounds int) ([]int, int) {
+	if s.Empty() {
 		return nil, 0
 	}
-	table := make(map[delayKey]int, len(s.Rules))
+	table := make([]int, len(ports.Rev)*rounds)
 	maxExtra := 0
 	for _, r := range s.Rules {
 		if r.Extra <= 0 {
 			continue
 		}
-		table[delayKey{r.From, r.To, r.Round}] = r.Extra
 		if r.Extra > maxExtra {
 			maxExtra = r.Extra
 		}
-	}
-	if len(table) == 0 {
-		return nil, 0
+		u, ok1 := g.Index(r.From)
+		v, ok2 := g.Index(r.To)
+		if !ok1 || !ok2 || r.Round < 0 || r.Round >= rounds {
+			continue
+		}
+		for i, w := range ports.Nbrs[u] {
+			if w == v {
+				table[(ports.Out[u]+i)*rounds+r.Round] = r.Extra
+				break
+			}
+		}
 	}
 	return table, maxExtra
 }

@@ -14,22 +14,17 @@ import (
 // invocations are observable through a shared counter, so tests can tell
 // a real execution from a cache hit.
 type countingDevice struct {
-	nbs   []string
 	tag   string
 	steps *atomic.Int64
 }
 
-func (d *countingDevice) Init(self string, neighbors []string, input Input) {
-	d.nbs = append([]string(nil), neighbors...)
-}
+func (d *countingDevice) Init(self string, neighbors []string, input Input) {}
 
-func (d *countingDevice) Step(round int, inbox Inbox) Outbox {
+func (d *countingDevice) Step(round int, in, out []Payload) {
 	d.steps.Add(1)
-	out := Outbox{}
-	for _, nb := range d.nbs {
-		out[nb] = Payload(d.tag)
+	for i := range out {
+		out[i] = Payload(d.tag)
 	}
-	return out
 }
 
 func (d *countingDevice) Snapshot() string          { return "counting:" + d.tag }
@@ -41,9 +36,8 @@ func (d *countingDevice) DeviceFingerprint() string { return "test/counting:" + 
 type opaqueDevice struct{ steps *atomic.Int64 }
 
 func (d *opaqueDevice) Init(self string, neighbors []string, input Input) {}
-func (d *opaqueDevice) Step(round int, inbox Inbox) Outbox {
+func (d *opaqueDevice) Step(round int, in, out []Payload) {
 	d.steps.Add(1)
-	return nil
 }
 func (d *opaqueDevice) Snapshot() string         { return "opaque" }
 func (d *opaqueDevice) Output() (Decision, bool) { return Decision{}, false }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -27,18 +26,8 @@ func encodeRun(r *Run) string {
 		}
 	}
 	if r.Edges != nil {
-		edges := make([]graph.Edge, 0, len(r.Edges))
-		for e := range r.Edges {
-			edges = append(edges, e)
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].From != edges[j].From {
-				return edges[i].From < edges[j].From
-			}
-			return edges[i].To < edges[j].To
-		})
-		for _, e := range edges {
-			fmt.Fprintf(&b, "edge %v=%q\n", e, r.Edges[e])
+		for id, e := range r.G.DirectedEdges() {
+			fmt.Fprintf(&b, "edge %v=%q\n", e, r.Edges[id])
 		}
 	}
 	return b.String()
@@ -164,43 +153,5 @@ func TestPartialRunOnDecisionError(t *testing.T) {
 				t.Errorf("node %s round %d snapshot missing from partial run", g.Name(u), r)
 			}
 		}
-	}
-}
-
-// TestPartialRunOnBadSend: the non-neighbor-send error also finishes the
-// round before returning, and no payload from the offending outbox is
-// delivered (all-or-nothing, so the partial state is deterministic).
-func TestPartialRunOnBadSend(t *testing.T) {
-	g := graph.Line(3)
-	sys, err := NewSystem(g, gossipProtocol(g, 1, uniformInputs(g, "0")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Devices[0] = rawSender{to: "l2"} // l2 is not a neighbor of l0
-	run, err := Execute(sys, 2)
-	if err == nil {
-		t.Fatal("send to non-neighbor accepted")
-	}
-	if run == nil {
-		t.Fatal("no partial run returned alongside the error")
-	}
-	for u := 0; u < g.N(); u++ {
-		if run.Snapshots[u][0] == "" {
-			t.Errorf("node %s round 0 snapshot missing from partial run", g.Name(u))
-		}
-	}
-}
-
-// TestExecuteWithNoEdgesStillValidatesSends: fast mode must keep the
-// model's send validation even though edges are not recorded.
-func TestExecuteWithNoEdgesStillValidatesSends(t *testing.T) {
-	g := graph.Line(3)
-	sys, err := NewSystem(g, gossipProtocol(g, 1, uniformInputs(g, "0")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Devices[0] = rawSender{to: "l2"}
-	if _, err := ExecuteWith(sys, 2, ExecuteOpts{}); err == nil {
-		t.Error("fast mode accepted a send to a non-neighbor")
 	}
 }

@@ -46,7 +46,7 @@ func (f *DeviceFault) Error() string {
 }
 
 // ExecError is a typed execution failure detected by the executor itself:
-// a protocol-rule violation (send to a non-neighbor, a changed decision),
+// a protocol-rule violation (a changed decision),
 // a device fault, or a cancelled context. Node and Round locate the
 // failure; both are best-effort ("" / -1 when the failure is not
 // attributable to a single node, e.g. cancellation between rounds).
@@ -87,15 +87,15 @@ func safeBuild(b Builder, self string, neighbors []string, input Input) (d Devic
 	return b(self, neighbors, input), nil
 }
 
-// safeStep runs Device.Step under recover. A panicking device sends
-// nothing in the failing round.
-func safeStep(d Device, node string, round int, inbox Inbox) (out Outbox, fault *DeviceFault) {
+// safeStep runs Device.Step under recover.
+func safeStep(d Device, node string, round int, in, out []Payload) (fault *DeviceFault) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, fault = nil, &DeviceFault{Node: node, Round: round, Op: OpStep, Value: r, Stack: debug.Stack()}
+			fault = &DeviceFault{Node: node, Round: round, Op: OpStep, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return d.Step(round, inbox), nil
+	d.Step(round, in, out)
+	return nil
 }
 
 // safeSnapshot runs Device.Snapshot under recover, substituting a marker

@@ -20,12 +20,11 @@ type panicDevice struct {
 
 func (d *panicDevice) Init(self string, neighbors []string, input Input) {}
 
-func (d *panicDevice) Step(round int, inbox Inbox) Outbox {
+func (d *panicDevice) Step(round int, in, out []Payload) {
 	d.round = round
 	if d.op == OpStep && round == d.atRound {
 		panic("kaboom")
 	}
-	return nil
 }
 
 func (d *panicDevice) Snapshot() string {
@@ -147,7 +146,7 @@ func TestMustExecutePanicsTyped(t *testing.T) {
 		message string
 	}{
 		{name: "device fault", sys: faultSystem(t, "b", OpStep, 0), node: "b", round: 0, device: true},
-		{name: "rule violation", sys: badSendSystem(t), node: "a", round: 0, message: "non-neighbor"},
+		{name: "rule violation", sys: flipFlopSystem(), node: "l0", round: 1, message: "changed its decision"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,37 +175,10 @@ func TestMustExecutePanicsTyped(t *testing.T) {
 	}
 }
 
-// badSendSystem has node a addressing a non-neighbor in round 0.
-func badSendSystem(t *testing.T) *System {
-	t.Helper()
-	g := graph.Triangle()
-	p := Protocol{Builders: map[string]Builder{}, Inputs: map[string]Input{}}
-	for _, name := range g.Names() {
-		name := name
-		p.Inputs[name] = BoolInput(false)
-		if name == "a" {
-			p.Builders[name] = func(self string, neighbors []string, input Input) Device {
-				return &badSender{}
-			}
-		} else {
-			p.Builders[name] = quietBuilder()
-		}
-	}
-	sys, err := NewSystem(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
+// flipFlopSystem has its only node, l0, change its decision in round 1.
+func flipFlopSystem() *System {
+	return &System{G: graph.Line(1), Devices: []Device{&flipFlopDecider{}}, Inputs: []Input{"0"}}
 }
-
-type badSender struct{}
-
-func (d *badSender) Init(self string, neighbors []string, input Input) {}
-func (d *badSender) Step(round int, inbox Inbox) Outbox {
-	return Outbox{"zebra": "hi"}
-}
-func (d *badSender) Snapshot() string         { return "badsender" }
-func (d *badSender) Output() (Decision, bool) { return Decision{}, false }
 
 func TestExecuteCtxCancellation(t *testing.T) {
 	g := graph.Triangle()

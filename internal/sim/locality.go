@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"flm/internal/graph"
-)
+import "fmt"
 
 // CheckLocality verifies the paper's Locality axiom on a concrete run:
 // replacing everything outside the node subset U with Fault-axiom replay
@@ -20,7 +16,11 @@ func CheckLocality(run *Run, nodes []string, builders map[string]Builder) (*Run,
 	for _, n := range nodes {
 		inSet[n] = true
 	}
+	if run.Edges == nil {
+		return nil, fmt.Errorf("sim: cannot check locality on a fast-mode run (no edges recorded)")
+	}
 	g := run.G
+	ports := g.Ports()
 	p := Protocol{
 		Builders: make(map[string]Builder, g.N()),
 		Inputs:   make(map[string]Input, g.N()),
@@ -38,9 +38,8 @@ func CheckLocality(run *Run, nodes []string, builders map[string]Builder) (*Run,
 		}
 		// Outside node: replay its recorded traffic on every outedge.
 		scripts := make(map[string][]Payload)
-		for _, v := range g.Neighbors(u) {
-			e := graph.Edge{From: name, To: g.Name(v)}
-			scripts[g.Name(v)] = append([]Payload(nil), run.Edges[e]...)
+		for i, v := range ports.Nbrs[u] {
+			scripts[g.Name(v)] = run.Edges[ports.Out[u]+i]
 		}
 		p.Builders[name] = ReplayBuilder(scripts)
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -13,10 +12,10 @@ import (
 // behaviors — that is the masquerading power the axiom grants to faulty
 // nodes.
 type ReplayDevice struct {
-	self    string
-	scripts map[string][]Payload // per-neighbor payload sequence
+	named   map[string][]Payload // constructor scripts by neighbor name; Init resolves them into slots
+	nbs     []string             // neighbor names (slot order), set by Init
+	scripts [][]Payload          // scripts[i] plays toward nbs[i]; nil = silent
 	round   int
-	out     Outbox // reused across Steps; see the Device Outbox contract
 }
 
 var _ Device = (*ReplayDevice)(nil)
@@ -25,18 +24,14 @@ var _ Fingerprinter = (*ReplayDevice)(nil)
 // NewReplayDevice builds the Fault-axiom device from per-neighbor payload
 // scripts. Missing neighbors stay silent.
 //
-// The map is cloned (Init prunes it to actual neighbors) but the payload
-// slices are shared with the caller, not copied: scripts come from
-// recorded runs, runs are immutable once executed, and the device only
-// ever reads them. Splice-heavy chains build thousands of replay devices
-// from the same covering run, so the sharing is a measurable allocation
-// win; TestReplayScriptsNotAliased pins the read-only guarantee.
+// The payload slices are shared with the caller, not copied: scripts
+// come from recorded runs, runs are immutable once executed, and the
+// device only ever reads them. Splice-heavy chains build thousands of
+// replay devices from the same covering run, so the sharing is a
+// measurable allocation win; TestReplayScriptsNotAliased pins the
+// read-only guarantee.
 func NewReplayDevice(scripts map[string][]Payload) *ReplayDevice {
-	copied := make(map[string][]Payload, len(scripts))
-	for nb, seq := range scripts {
-		copied[nb] = seq
-	}
-	return &ReplayDevice{scripts: copied}
+	return &ReplayDevice{named: scripts}
 }
 
 // Builder returns a Builder producing replay devices with the given
@@ -49,49 +44,41 @@ func ReplayBuilder(scripts map[string][]Payload) Builder {
 	}
 }
 
-// Init records the node identity. Scripts addressed to non-neighbors are
-// dropped, mirroring how a faulty node can only exhibit behavior on its
-// actual outedges.
+// Init resolves the named scripts into neighbor slots. Scripts addressed
+// to non-neighbors are dropped, mirroring how a faulty node can only
+// exhibit behavior on its actual outedges.
 func (d *ReplayDevice) Init(self string, neighbors []string, input Input) {
-	d.self = self
-	allowed := make(map[string]bool, len(neighbors))
-	for _, nb := range neighbors {
-		allowed[nb] = true
-	}
-	for nb := range d.scripts {
-		if !allowed[nb] {
-			delete(d.scripts, nb)
+	d.nbs = neighbors
+	d.scripts = make([][]Payload, len(neighbors))
+	for i, nb := range neighbors {
+		if seq, ok := d.named[nb]; ok {
+			if seq == nil {
+				seq = []Payload{} // present but empty, unlike a silent slot
+			}
+			d.scripts[i] = seq
 		}
 	}
+	d.named = nil
 }
 
-// Step plays round r of every script, ignoring the inbox entirely.
-func (d *ReplayDevice) Step(round int, inbox Inbox) Outbox {
-	if d.out == nil {
-		d.out = make(Outbox, len(d.scripts))
-	} else {
-		clear(d.out)
-	}
-	for nb, seq := range d.scripts {
-		if round < len(seq) && seq[round] != None {
-			d.out[nb] = seq[round]
+// Step plays round r of every script, ignoring what arrives.
+func (d *ReplayDevice) Step(round int, in, out []Payload) {
+	for i, seq := range d.scripts {
+		if round < len(seq) {
+			out[i] = seq[round]
 		}
 	}
 	d.round = round + 1
-	return d.out
 }
 
-// Snapshot encodes the replay position and the scripts (canonical order).
+// Snapshot encodes the replay position and the scripted neighbors.
 func (d *ReplayDevice) Snapshot() string {
-	nbs := make([]string, 0, len(d.scripts))
-	for nb := range d.scripts {
-		nbs = append(nbs, nb)
-	}
-	sort.Strings(nbs)
 	var b strings.Builder
 	fmt.Fprintf(&b, "replay@%d", d.round)
-	for _, nb := range nbs {
-		fmt.Fprintf(&b, ";%s", nb)
+	for i, seq := range d.scripts {
+		if seq != nil {
+			fmt.Fprintf(&b, ";%s", d.nbs[i])
+		}
 	}
 	return b.String()
 }
@@ -104,21 +91,23 @@ func (d *ReplayDevice) Output() (Decision, bool) { return Decision{}, false }
 // device's behavior is its script content, nothing else — making spliced
 // G-systems content-addressable.
 func (d *ReplayDevice) DeviceFingerprint() string {
-	nbs := make([]string, 0, len(d.scripts))
 	total := 0
-	for nb, seq := range d.scripts {
-		nbs = append(nbs, nb)
-		total += len(nb) + 8
-		for _, p := range seq {
-			total += len(p) + 8
+	for i, seq := range d.scripts {
+		if seq != nil {
+			total += len(d.nbs[i]) + 8
+			for _, p := range seq {
+				total += len(p) + 8
+			}
 		}
 	}
-	sort.Strings(nbs)
 	var b strings.Builder
 	b.Grow(len("replay") + total)
 	b.WriteString("replay")
-	for _, nb := range nbs {
-		seq := d.scripts[nb]
+	for i, seq := range d.scripts {
+		if seq == nil {
+			continue
+		}
+		nb := d.nbs[i]
 		fmt.Fprintf(&b, "|%d:%s:%d", len(nb), nb, len(seq))
 		for _, p := range seq {
 			fmt.Fprintf(&b, ",%d:%s", len(p), p)

@@ -11,8 +11,8 @@ import (
 // NewReplayDevice stopped deep-copying scripts: the device shares the
 // caller's backing slices, so it must never write to them — running a
 // full system of replay devices leaves every source sequence
-// byte-identical — while map-level mutation (Init's pruning of
-// non-neighbor scripts) must stay confined to the device's own map.
+// byte-identical — and Init's dropping of non-neighbor scripts must
+// leave the caller's map alone.
 func TestReplayScriptsNotAliased(t *testing.T) {
 	g := graph.MustNew("a", "b", "c")
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
@@ -51,8 +51,8 @@ func TestReplayScriptsNotAliased(t *testing.T) {
 			t.Fatalf("script %q mutated through sharing: %v, want %v", nb, seq, want[nb])
 		}
 	}
-	// ...including the caller's map itself: Init prunes the device's own
-	// clone, never the source.
+	// ...including the caller's map itself: Init resolves scripts into
+	// the device's own slots, never pruning the source.
 	if len(scripts) != len(want) {
 		t.Fatalf("caller's script map shrank to %d entries, want %d", len(scripts), len(want))
 	}
@@ -64,16 +64,11 @@ func TestReplayScriptsNotAliased(t *testing.T) {
 	d2 := NewReplayDevice(scripts)
 	d2.Init("a", []string{"b", "c"}, "0")
 	for r := 0; r < 3; r++ {
-		o1 := d1.Step(r, nil)
-		// The Outbox is a reused buffer (Device contract), so compare
-		// before stepping the second device via a copy.
-		got := make(map[string]Payload, len(o1))
-		for k, v := range o1 {
-			got[k] = v
-		}
-		o2 := d2.Step(r, nil)
-		if !reflect.DeepEqual(got, map[string]Payload(o2)) {
-			t.Fatalf("round %d: sibling replay devices diverged: %v vs %v", r, got, o2)
+		o1, o2 := make([]Payload, 2), make([]Payload, 2)
+		d1.Step(r, nil, o1)
+		d2.Step(r, nil, o2)
+		if !reflect.DeepEqual(o1, o2) {
+			t.Fatalf("round %d: sibling replay devices diverged: %v vs %v", r, o1, o2)
 		}
 	}
 }

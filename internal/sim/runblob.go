@@ -16,16 +16,18 @@ import (
 // the same frame handles both via a flags byte.
 //
 // The encoding is canonical: node order is graph index order, edge order
-// is graph.DirectedEdges order (lexicographic), every string is
-// uvarint-length-delimited. Two encodes of the same Run are
+// is directed-edge id order (graph.DirectedEdges, lexicographic), every
+// string is uvarint-length-delimited. Two encodes of the same Run are
 // byte-identical, and no map is ever iterated in map order — the
 // package's determinism contract extends to the bytes it persists.
 //
-// Decoding is defensive: any structural violation (bad magic, counts out
-// of range, truncated fields) returns an error, which the cache layer
-// treats exactly like a corrupt blob — delete and recompute. A decoded
-// blob can therefore never poison an execution; the worst case of a
-// damaged cache directory is a cache miss.
+// Decoding is defensive and strict: any structural violation (bad magic,
+// counts out of range, truncated fields, a sequence whose length is not
+// the round count, a non-canonical varint or edge list) returns an
+// error, which the cache layer treats exactly like a corrupt blob —
+// delete and recompute. A blob that decodes re-encodes to the same
+// bytes (FuzzRunCodec pins this), so a decoded blob can never poison an
+// execution; the worst case of a damaged cache directory is a cache miss.
 
 // runBlobMagic versions the Run frame; bump on any shape change so stale
 // blobs from older binaries read as corrupt instead of misdecoding.
@@ -93,8 +95,7 @@ func (RunCodec) Encode(key string, v any) ([]byte, bool) {
 		}
 	}
 	if r.Edges != nil {
-		for _, e := range g.DirectedEdges() {
-			seq := r.Edges[e]
+		for _, seq := range r.Edges {
 			b = binary.AppendUvarint(b, uint64(len(seq)))
 			for _, p := range seq {
 				b = appendBlobStr(b, string(p))
@@ -127,12 +128,19 @@ func (RunCodec) Decode(key string, data []byte) (any, error) {
 		return nil, fmt.Errorf("sim: run blob graph: %w", err)
 	}
 	edges := d.count(maxBlobNodes * maxBlobNodes)
+	lastU, lastV := -1, -1
 	for i := 0; i < edges && d.err == nil; i++ {
 		u, v := d.count(n), d.count(n)
-		if d.err == nil {
-			if err := g.AddEdge(u, v); err != nil {
-				return nil, fmt.Errorf("sim: run blob graph: %w", err)
-			}
+		if d.err != nil {
+			break
+		}
+		// Encode lists each undirected edge once, as u < v, in (u, v) order.
+		if u >= v || u < lastU || (u == lastU && v <= lastV) {
+			return nil, fmt.Errorf("sim: run blob edge (%d,%d) out of canonical order", u, v)
+		}
+		lastU, lastV = u, v
+		if err := g.AddEdge(u, v); err != nil {
+			return nil, fmt.Errorf("sim: run blob graph: %w", err)
 		}
 	}
 	r := &Run{
@@ -150,12 +158,16 @@ func (RunCodec) Decode(key string, data []byte) (any, error) {
 		r.Decisions[u].Round = d.count(1 << 30)
 	}
 	flags := d.byteVal()
-	if flags&1 != 0 {
+	if d.err == nil && flags&^3 != 0 {
+		return nil, fmt.Errorf("sim: run blob flags %#x", flags)
+	}
+	rounds := r.Rounds
+	if flags&1 != 0 && d.fits(n, rounds) {
 		intern := make(map[string]string, 2*n)
 		r.Snapshots = make([][]string, n)
-		for u := 0; u < n && d.err == nil; u++ {
-			rounds := d.count(1 << 30)
-			r.Snapshots[u] = make([]string, rounds)
+		snapBuf := make([]string, n*rounds)
+		for u := 0; u < n && d.seqLen(rounds); u++ {
+			r.Snapshots[u] = snapBuf[u*rounds : (u+1)*rounds : (u+1)*rounds]
 			for i := range r.Snapshots[u] {
 				s := d.str()
 				if c, ok := intern[s]; ok {
@@ -167,15 +179,12 @@ func (RunCodec) Decode(key string, data []byte) (any, error) {
 			}
 		}
 	}
-	if flags&2 != 0 {
+	if ne := 2 * g.NumEdges(); flags&2 != 0 && d.fits(ne, rounds) {
 		intern := make(map[Payload]Payload, 4*n)
-		r.Edges = make(map[graph.Edge][]Payload, 2*g.NumEdges())
-		for _, e := range g.DirectedEdges() {
-			if d.err != nil {
-				break
-			}
-			rounds := d.count(1 << 30)
-			seq := make([]Payload, rounds)
+		r.Edges = make([][]Payload, ne)
+		edgeBuf := make([]Payload, ne*rounds)
+		for e := 0; e < ne && d.seqLen(rounds); e++ {
+			seq := edgeBuf[e*rounds : (e+1)*rounds : (e+1)*rounds]
 			for i := range seq {
 				p := Payload(d.str())
 				if c, ok := intern[p]; ok {
@@ -201,11 +210,6 @@ func (RunCodec) Decode(key string, data []byte) (any, error) {
 func runBlobSize(r *Run) int {
 	return 64 + int(runCost(r))
 }
-
-// RunCost estimates the retained bytes of a *Run — the execution
-// cache's budget-accounting model, exported for layers (core's splice
-// cache) whose cached values embed runs.
-func RunCost(r *Run) int64 { return runCost(r) }
 
 // runCost estimates the retained bytes of a cached *Run for the L1
 // budget accounting. Interned strings are counted once per reference,
@@ -237,9 +241,14 @@ func runCost(v any) int64 {
 		}
 	}
 	if r.Edges != nil && r.G != nil {
-		for _, e := range r.G.DirectedEdges() {
-			cost += int64(len(e.From)+len(e.To)) + 64
-			for _, p := range r.Edges[e] {
+		// Every directed edge costs both endpoint names: node u's name
+		// appears on its 2*deg(u) incident edges.
+		for u := 0; u < r.G.N(); u++ {
+			cost += int64(2 * r.G.Degree(u) * len(r.G.Name(u)))
+		}
+		for _, seq := range r.Edges {
+			cost += 64
+			for _, p := range seq {
 				cost += int64(len(p)) + 16
 			}
 		}
@@ -269,6 +278,10 @@ func (d *blobReader) uvarint() uint64 {
 		d.err = errBlobTruncated
 		return 0
 	}
+	if n > 1 && d.data[n-1] == 0 {
+		d.err = errors.New("sim: run blob varint not minimally encoded")
+		return 0
+	}
 	d.data = d.data[n:]
 	return v
 }
@@ -282,6 +295,25 @@ func (d *blobReader) count(max int) int {
 		return 0
 	}
 	return int(v)
+}
+
+// fits reports whether count sequences of rounds entries can be present:
+// every entry takes at least one byte, so a blob claiming more entries
+// than it has bytes is damaged — checked before allocating for them.
+func (d *blobReader) fits(count, rounds int) bool {
+	if d.err == nil && uint64(count)*uint64(rounds) > uint64(len(d.data)) {
+		d.err = errBlobTruncated
+	}
+	return d.err == nil
+}
+
+// seqLen reads one sequence's length prefix, which must be the run's
+// round count.
+func (d *blobReader) seqLen(rounds int) bool {
+	if l := d.uvarint(); d.err == nil && l != uint64(rounds) {
+		d.err = fmt.Errorf("sim: run blob sequence of %d entries in a %d-round run", l, rounds)
+	}
+	return d.err == nil
 }
 
 func (d *blobReader) str() string {

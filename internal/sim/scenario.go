@@ -13,11 +13,19 @@ import (
 // showed them). Two scenarios being equal (up to node renaming) is the
 // conclusion of the paper's Locality axiom.
 type Scenario struct {
-	Nodes     []string                 // sorted node names
-	Snapshots map[string][]string      // per node state sequence
-	Decisions map[string]Decision      // per node decision
-	Internal  map[graph.Edge][]Payload // edges with both endpoints inside
-	Border    map[graph.Edge][]Payload // inedge border traffic
+	Nodes     []string            // sorted node names
+	Snapshots map[string][]string // per node state sequence
+	Decisions map[string]Decision // per node decision
+	Internal  []EdgeTraffic       // edges with both endpoints inside
+	Border    []EdgeTraffic       // inedge border traffic
+}
+
+// EdgeTraffic is the edge behavior of one directed edge. A scenario lists
+// its edges in directed-edge order and shares the sequences with the
+// (immutable) run they came from.
+type EdgeTraffic struct {
+	graph.Edge
+	Seq []Payload
 }
 
 // Extract returns the scenario of the named nodes in the run. The run
@@ -44,8 +52,6 @@ func Extract(run *Run, nodes []string) (*Scenario, error) {
 		Nodes:     append([]string(nil), nodes...),
 		Snapshots: make(map[string][]string, len(nodes)),
 		Decisions: make(map[string]Decision, len(nodes)),
-		Internal:  make(map[graph.Edge][]Payload),
-		Border:    make(map[graph.Edge][]Payload),
 	}
 	sort.Strings(sc.Nodes)
 	for _, u := range idx {
@@ -53,12 +59,12 @@ func Extract(run *Run, nodes []string) (*Scenario, error) {
 		sc.Snapshots[name] = append([]string(nil), run.Snapshots[u]...)
 		sc.Decisions[name] = run.Decisions[u]
 	}
-	for e, seq := range run.Edges {
+	for id, e := range run.G.DirectedEdges() {
 		switch {
 		case inSet[e.From] && inSet[e.To]:
-			sc.Internal[e] = append([]Payload(nil), seq...)
+			sc.Internal = append(sc.Internal, EdgeTraffic{e, run.Edges[id]})
 		case inSet[e.To]:
-			sc.Border[e] = append([]Payload(nil), seq...)
+			sc.Border = append(sc.Border, EdgeTraffic{e, run.Edges[id]})
 		}
 	}
 	return sc, nil
@@ -100,29 +106,35 @@ func (sc *Scenario) EqualUnder(other *Scenario, rename map[string]string, compar
 			return fmt.Errorf("sim: node %s decisions differ: %+v vs %+v", name, d, o)
 		}
 	}
-	for e, seq := range sc.Internal {
-		te := graph.Edge{From: mapped(e.From), To: mapped(e.To)}
-		otherSeq, ok := other.Internal[te]
-		if !ok {
-			return fmt.Errorf("sim: internal edge %v (as %v) missing", e, te)
-		}
-		if err := equalPayloads(seq, otherSeq); err != nil {
-			return fmt.Errorf("sim: internal edge %v: %w", e, err)
-		}
+	if err := equalTraffic("internal", sc.Internal, other.Internal, mapped); err != nil {
+		return err
 	}
 	if compareBorder {
 		if len(sc.Border) != len(other.Border) {
 			return fmt.Errorf("sim: border sizes differ: %d vs %d", len(sc.Border), len(other.Border))
 		}
-		for e, seq := range sc.Border {
-			te := graph.Edge{From: mapped(e.From), To: mapped(e.To)}
-			otherSeq, ok := other.Border[te]
-			if !ok {
-				return fmt.Errorf("sim: border edge %v (as %v) missing", e, te)
-			}
-			if err := equalPayloads(seq, otherSeq); err != nil {
-				return fmt.Errorf("sim: border edge %v: %w", e, err)
-			}
+		if err := equalTraffic("border", sc.Border, other.Border, mapped); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// equalTraffic checks that every edge of mine, renamed, carries the same
+// payloads in theirs.
+func equalTraffic(kind string, mine, theirs []EdgeTraffic, mapped func(string) string) error {
+	at := make(map[graph.Edge]int, len(theirs))
+	for i, t := range theirs {
+		at[t.Edge] = i
+	}
+	for _, t := range mine {
+		te := graph.Edge{From: mapped(t.From), To: mapped(t.To)}
+		i, ok := at[te]
+		if !ok {
+			return fmt.Errorf("sim: %s edge %v (as %v) missing", kind, t.Edge, te)
+		}
+		if err := equalPayloads(t.Seq, theirs[i].Seq); err != nil {
+			return fmt.Errorf("sim: %s edge %v: %w", kind, t.Edge, err)
 		}
 	}
 	return nil

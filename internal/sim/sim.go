@@ -2,8 +2,8 @@
 // the FLM85 reproduction runs. It makes the paper's abstract notions
 // concrete:
 //
-//   - a Device is a deterministic round-based automaton addressed by
-//     neighbor names;
+//   - a Device is a deterministic round-based automaton that reads and
+//     writes one buffer slot per neighbor, in neighbor-name order;
 //   - a node behavior is the sequence of device state snapshots;
 //   - an edge behavior is the sequence of payloads carried by a directed
 //     edge, one per round;
@@ -11,10 +11,10 @@
 //     behaviors.
 //
 // The model satisfies the paper's Locality axiom by construction (a
-// device's next state depends only on its own state and its inbox), and
-// CheckLocality verifies it on concrete runs. It also satisfies the
-// Bounded-Delay Locality axiom with delta equal to one round, because a
-// message sent in round r is delivered in round r+1.
+// device's next state depends only on its own state and what arrives on
+// its own edges), and CheckLocality verifies it on concrete runs. It
+// also satisfies the Bounded-Delay Locality axiom with delta equal to
+// one round, because a message sent in round r is delivered in round r+1.
 package sim
 
 import (
@@ -48,45 +48,49 @@ type Decision struct {
 	Round int    // round at which the choice was made
 }
 
-// Inbox maps a neighbor name to the payload received from it this round.
-// Neighbors that sent nothing are absent.
-type Inbox map[string]Payload
-
-// Outbox maps a neighbor name to the payload to send this round. Only
-// actual neighbors may be addressed; other keys are an execution error.
-type Outbox map[string]Payload
-
 // Device is a deterministic consensus device. The executor drives it
 // with:
 //
 //	Init(self, neighbors, input)        // once, before round 0
 //	for r := 0; r < rounds; r++ {
-//	    out := Step(r, inbox)           // inbox from round r-1 sends
+//	    Step(r, in, out)                // in: round r-1 sends
 //	}
 //
-// The Inbox passed to Step is owned by the executor and reused between
-// rounds; devices must read what they need during Step and must not
-// retain the map itself. Symmetrically, the Outbox returned by Step is
-// owned by the device and may be a buffer it reuses on the next Step:
-// callers (the executor included) must consume it before stepping the
-// device again and must never retain it across rounds.
+// neighbors is sorted by name and read-only (a device may keep it), and
+// slot i of in and out belongs to neighbors[i]: in[i] is what
+// neighbors[i] sent last round (None for silence) and the device sends
+// out[i] to it (None sends nothing). Both slices are owned by the
+// executor, which clears out to None before each call and reuses both
+// buffers between rounds: a device reads and writes them during Step and
+// retains neither, nor any sub-slice of them. A device can address
+// nothing but its own edges.
 //
 // Snapshot must canonically encode the full device state so that two
 // devices are behaving identically iff their snapshot sequences are
 // equal. Output reports the device's choice once made; it must never
 // change after it is first reported (the executor enforces this).
 //
-// Devices must be deterministic: identical Init arguments and inbox
-// sequences must yield identical outboxes, snapshots, and outputs. This
+// Devices must be deterministic: identical Init arguments and in
+// sequences must yield identical sends, snapshots, and outputs. This
 // is the paper's base model; seeded pseudo-randomness is permitted
 // because the seed is part of the device, making the composite
 // deterministic (the Section 3 nondeterminism remark is exercised this
 // way).
 type Device interface {
 	Init(self string, neighbors []string, input Input)
-	Step(round int, inbox Inbox) Outbox
+	Step(round int, in, out []Payload)
 	Snapshot() string
 	Output() (Decision, bool)
+}
+
+// Slot returns the slot of name in a sorted neighbor list — the index of
+// its entries in Step's in and out — or -1 when name is not a neighbor.
+func Slot(neighbors []string, name string) int {
+	i := sort.SearchStrings(neighbors, name)
+	if i < len(neighbors) && neighbors[i] == name {
+		return i
+	}
+	return -1
 }
 
 // Builder constructs a fresh device instance for a named node. Installing
@@ -118,6 +122,7 @@ func NewSystem(g *graph.Graph, p Protocol) (*System, error) {
 		Devices: make([]Device, g.N()),
 		Inputs:  make([]Input, g.N()),
 	}
+	ports := g.Ports()
 	for u := 0; u < g.N(); u++ {
 		name := g.Name(u)
 		b, ok := p.Builders[name]
@@ -129,23 +134,17 @@ func NewSystem(g *graph.Graph, p Protocol) (*System, error) {
 			return nil, fmt.Errorf("sim: no input for node %q", name)
 		}
 		sys.Inputs[u] = input
-		dev, fault := safeBuild(b, name, neighborNames(g, u), input)
+		nbs := make([]string, len(ports.Nbrs[u]))
+		for i, v := range ports.Nbrs[u] {
+			nbs[i] = g.Name(v)
+		}
+		dev, fault := safeBuild(b, name, nbs, input)
 		if fault != nil {
 			return nil, fault
 		}
 		sys.Devices[u] = dev
 	}
 	return sys, nil
-}
-
-func neighborNames(g *graph.Graph, u int) []string {
-	nbs := g.Neighbors(u)
-	names := make([]string, len(nbs))
-	for i, v := range nbs {
-		names[i] = g.Name(v)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Run is a recorded system behavior: every node behavior (snapshot
@@ -160,9 +159,9 @@ type Run struct {
 	G         *graph.Graph
 	Rounds    int
 	Inputs    []Input
-	Snapshots [][]string               // Snapshots[u][r] = state of node u after round r
-	Edges     map[graph.Edge][]Payload // Edges[e][r] = payload carried in round r
-	Decisions []Decision               // zero Value when the node never decided
+	Snapshots [][]string  // Snapshots[u][r] = state of node u after round r
+	Edges     [][]Payload // Edges[id][r] = payload carried in round r by directed edge id (see graph.Ports)
+	Decisions []Decision  // zero Value when the node never decided
 
 	fp string // cache key of the producing execution; "" when not content-addressed
 }
@@ -195,20 +194,11 @@ type ExecuteOpts struct {
 // mode required wherever runs feed the Locality/Fault axiom machinery.
 var FullRecording = ExecuteOpts{RecordSnapshots: true, RecordEdges: true}
 
-// sendTarget is a precomputed delivery route: the receiver's node index,
-// the sender's slot in the receiver's mailbox, and (in full recording
-// mode) the edge-behavior sequence to append to.
-type sendTarget struct {
-	v    int
-	slot int
-	seq  []Payload
-}
-
 // Execute runs the system for the given number of rounds and records the
 // complete behavior. Messages sent in round r are delivered in round r+1;
-// the inbox of round 0 is empty.
+// nothing arrives in round 0.
 //
-// On an execution error (a send to a non-neighbor or a changed decision),
+// On an execution error (a changed decision or a device fault),
 // Execute finishes recording the failing round for every node and returns
 // the partial Run alongside the error, so the state that produced the
 // error is diagnosable. The partial Run must not be treated as a system
@@ -288,54 +278,32 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 		}
 	}
 	if opts.RecordEdges {
-		run.Edges = make(map[graph.Edge][]Payload, 2*g.NumEdges())
-		for _, e := range g.DirectedEdges() {
-			run.Edges[e] = make([]Payload, rounds)
+		ne := 2 * g.NumEdges()
+		run.Edges = make([][]Payload, ne)
+		edgeBuf := make([]Payload, ne*rounds)
+		for e := range run.Edges {
+			run.Edges[e] = edgeBuf[e*rounds : (e+1)*rounds : (e+1)*rounds]
 		}
 	}
 
-	// Per-node routing tables, resolved once instead of per message:
-	// adj[u] lists u's neighbor indices, inName[u][s] names the neighbor
-	// occupying slot s of u's mailbox, and send[u] maps an addressee name
-	// to its precomputed delivery route.
-	adj := make([][]int, n)
-	inName := make([][]string, n)
-	slotOf := make([]map[int]int, n) // receiver -> sender index -> slot
-	for u := 0; u < n; u++ {
-		adj[u] = g.Neighbors(u)
-		inName[u] = make([]string, len(adj[u]))
-		slotOf[u] = make(map[int]int, len(adj[u]))
-		for s, v := range adj[u] {
-			inName[u][s] = g.Name(v)
-			slotOf[u][v] = s
-		}
-	}
-	send := make([]map[string]sendTarget, n)
-	for u := 0; u < n; u++ {
-		send[u] = make(map[string]sendTarget, len(adj[u]))
-		for _, v := range adj[u] {
-			t := sendTarget{v: v, slot: slotOf[v][u]}
-			if opts.RecordEdges {
-				t.seq = run.Edges[graph.Edge{From: g.Name(u), To: g.Name(v)}]
-			}
-			send[u][g.Name(v)] = t
-		}
-	}
+	// Mailboxes and outboxes live in flat buffers laid out by directed-edge
+	// id: node u's slots are ids [base[u], base[u]+deg(u)), its out-edges
+	// in slot order. Slot i of u's mailbox holds what neighbor i sent on
+	// the reverse of edge base[u]+i, so a send on edge id lands at
+	// mailbox index rev[id].
+	ports := g.Ports()
+	base, rev := ports.Out, ports.Rev
+	totalDeg := len(rev)
 
-	// A ring of reusable mailbox buffers (delivery round x node x
-	// sender-slot) plus one reusable Inbox map per node, refilled at the
-	// Step boundary. Synchronous delivery needs a window of 2 (the
-	// classic current/next double buffer); a delay schedule widens the
-	// window to maxExtra+2 so a message sent in round r with extra delay
-	// e <= maxExtra lands in slot (r+1+e) mod window — always a future
-	// slot distinct from the one being read, and read exactly once, at
-	// round r+1+e. Slots are wiped right after their read round, so a
-	// slot observed at round d is exactly the sends targeted at d.
-	totalDeg := 0
-	for u := 0; u < n; u++ {
-		totalDeg += len(adj[u])
-	}
-	delays, maxExtra := opts.Delays.compile()
+	// A ring of reusable mailbox buffers, one per delivery round.
+	// Synchronous delivery needs a window of 2 (the classic current/next
+	// double buffer); a delay schedule widens the window to maxExtra+2 so
+	// a message sent in round r with extra delay e <= maxExtra lands in
+	// buffer (r+1+e) mod window — always a future buffer distinct from
+	// the one being read, and read exactly once, at round r+1+e. Buffers
+	// are wiped right after their read round, so one observed at round d
+	// holds exactly the sends targeted at d.
+	delays, maxExtra := opts.Delays.compile(g, ports, rounds)
 	window := maxExtra + 2
 	// Async message accounting (sim.async.* counters): only ever non-nil
 	// for a traced delay-schedule execution, so the synchronous hot path
@@ -345,22 +313,8 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 		acct = &asyncAcct{}
 		defer acct.flush()
 	}
-	ringBuf := make([]Payload, window*totalDeg)
-	ring := make([][][]Payload, window)
-	views := make([][]Payload, window*n)
-	inboxes := make([]Inbox, n)
-	for w := 0; w < window; w++ {
-		ring[w] = views[w*n : (w+1)*n : (w+1)*n]
-		off := w * totalDeg
-		for u := 0; u < n; u++ {
-			d := len(adj[u])
-			ring[w][u] = ringBuf[off : off+d : off+d]
-			off += d
-		}
-	}
-	for u := 0; u < n; u++ {
-		inboxes[u] = make(Inbox, len(adj[u]))
-	}
+	ring := make([]Payload, window*totalDeg)
+	outBuf := make([]Payload, totalDeg)
 
 	// Per-execution intern tables for the retained strings of a full
 	// recording. Devices re-emit equal payloads and snapshots round after
@@ -389,44 +343,30 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 			return run, cancelErr
 		}
 		var roundErr error
-		cur := ring[r%window]
+		cur := ring[(r%window)*totalDeg : (r%window+1)*totalDeg]
 		for u := 0; u < n; u++ {
-			inbox := inboxes[u]
-			clear(inbox)
-			for s, p := range cur[u] {
-				if p != None {
-					inbox[inName[u][s]] = p
-					if acct != nil {
+			lo, hi := base[u], base[u]+len(ports.Nbrs[u])
+			in, out := cur[lo:hi:hi], outBuf[lo:hi:hi]
+			if acct != nil {
+				for _, p := range in {
+					if p != None {
 						acct.delivered++
 					}
 				}
 			}
-			out, fault := safeStep(sys.Devices[u], g.Name(u), r, inbox)
-			if fault != nil && roundErr == nil {
-				roundErr = fault
-			}
-			// Validate the whole outbox before delivering anything, so a
-			// bad addressee never leaves a nondeterministically half-
-			// delivered round behind (Outbox iteration order is random).
-			bad := ""
-			for to := range out {
-				if _, ok := send[u][to]; !ok && (bad == "" || to < bad) {
-					bad = to
-				}
-			}
-			if bad != "" {
+			clear(out)
+			if fault := safeStep(sys.Devices[u], g.Name(u), r, in, out); fault != nil {
+				// A panicking device sends nothing in the failing round.
 				if roundErr == nil {
-					roundErr = execRuleError(g.Name(u), r,
-						"sim: node %s sent to non-neighbor %q in round %d", g.Name(u), bad, r)
+					roundErr = fault
 				}
 			} else {
-				uName := g.Name(u)
-				for to, payload := range out {
+				for i, payload := range out {
 					if payload == None {
 						continue
 					}
-					t := send[u][to]
-					if t.seq != nil {
+					e := lo + i
+					if run.Edges != nil {
 						if internPay != nil {
 							if c, ok := internPay[payload]; ok {
 								payload = c
@@ -434,11 +374,11 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 								internPay[payload] = payload
 							}
 						}
-						t.seq[r] = payload
+						run.Edges[e][r] = payload
 					}
 					deliver := r + 1
 					if delays != nil {
-						extra := delays[delayKey{uName, to, r}]
+						extra := delays[e*rounds+r]
 						deliver += extra
 						if acct != nil {
 							acct.sent++
@@ -448,7 +388,7 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 							switch {
 							case deliver >= rounds:
 								acct.lost++
-							case ring[deliver%window][t.v][t.slot] != None:
+							case ring[(deliver%window)*totalDeg+rev[e]] != None:
 								// This send lands on a slot still holding an
 								// undelivered earlier message on the same
 								// edge: the overwritten one is the casualty.
@@ -457,7 +397,7 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 						}
 					}
 					if deliver < rounds {
-						ring[deliver%window][t.v][t.slot] = payload
+						ring[(deliver%window)*totalDeg+rev[e]] = payload
 					}
 				}
 			}
@@ -496,12 +436,9 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 			// mode) been snapshotted; return the diagnosable partial run.
 			return run, roundErr
 		}
-		// The slot just read becomes the buffer for round r+window; wipe
+		// The buffer just read becomes the one for round r+window; wipe
 		// it so stale payloads never resurface.
-		spent := ringBuf[(r%window)*totalDeg : (r%window+1)*totalDeg]
-		for i := range spent {
-			spent[i] = None
-		}
+		clear(cur)
 	}
 	return run, nil
 }
@@ -530,11 +467,14 @@ func MustExecute(sys *System, rounds int) *Run {
 // EdgeBehavior returns the payload sequence carried by the directed edge,
 // or an error if the edge does not exist in the run's graph.
 func (r *Run) EdgeBehavior(from, to string) ([]Payload, error) {
-	seq, ok := r.Edges[graph.Edge{From: from, To: to}]
+	id, ok := r.G.EdgeID(from, to)
 	if !ok {
 		return nil, fmt.Errorf("sim: run has no edge %s->%s", from, to)
 	}
-	return seq, nil
+	if r.Edges == nil {
+		return nil, fmt.Errorf("sim: run recorded no edges (fast mode)")
+	}
+	return r.Edges[id], nil
 }
 
 // DecisionOf returns the decision of the named node.

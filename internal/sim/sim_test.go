@@ -15,7 +15,6 @@ import (
 // at decideRound. It exercises message flow, snapshots, and decisions.
 type gossipDevice struct {
 	self        string
-	neighbors   []string
 	heard       map[string]bool
 	input       Input
 	decideRound int
@@ -32,13 +31,12 @@ func newGossip(decideRound int) Builder {
 
 func (d *gossipDevice) Init(self string, neighbors []string, input Input) {
 	d.self = self
-	d.neighbors = append([]string(nil), neighbors...)
 	d.input = input
 	d.heard = map[string]bool{self + "=" + string(input): true}
 }
 
-func (d *gossipDevice) Step(round int, inbox Inbox) Outbox {
-	for _, p := range inboxValues(inbox) {
+func (d *gossipDevice) Step(round int, in, out []Payload) {
+	for _, p := range in {
 		for _, fact := range strings.Split(string(p), ",") {
 			if fact != "" {
 				d.heard[fact] = true
@@ -49,24 +47,9 @@ func (d *gossipDevice) Step(round int, inbox Inbox) Outbox {
 		d.decided = true
 	}
 	msg := Payload(d.factList())
-	out := Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = msg
+	for i := range out {
+		out[i] = msg
 	}
-	return out
-}
-
-func inboxValues(in Inbox) []Payload {
-	keys := make([]string, 0, len(in))
-	for k := range in {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	vals := make([]Payload, len(keys))
-	for i, k := range keys {
-		vals[i] = in[k]
-	}
-	return vals
 }
 
 func (d *gossipDevice) factList() string {
@@ -155,50 +138,17 @@ func TestExecuteIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestExecuteRejectsNonNeighborSend(t *testing.T) {
-	g := graph.Line(3) // l0-l1-l2; l0 and l2 not adjacent
-	bad := func(self string, neighbors []string, input Input) Device {
-		return NewReplayDevice(nil)
-	}
-	p := Protocol{
-		Builders: map[string]Builder{
-			"l0": ReplayBuilder(map[string][]Payload{"l2": {"boo"}}),
-			"l1": bad, "l2": bad,
-		},
-		Inputs: uniformInputs(g, "0"),
-	}
-	sys, err := NewSystem(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ReplayDevice.Init drops non-neighbor scripts, so construct the
-	// violation manually: a device that addresses a non-neighbor.
-	sys.Devices[0] = rawSender{to: "l2"}
-	if _, err := Execute(sys, 2); err == nil {
-		t.Error("send to non-neighbor accepted")
-	}
-}
-
-type rawSender struct{ to string }
-
-func (r rawSender) Init(string, []string, Input) {}
-func (r rawSender) Step(int, Inbox) Outbox       { return Outbox{r.to: "boo"} }
-func (r rawSender) Snapshot() string             { return "raw" }
-func (r rawSender) Output() (Decision, bool)     { return Decision{}, false }
-
 type flipFlopDecider struct{ round int }
 
 func (d *flipFlopDecider) Init(string, []string, Input) {}
-func (d *flipFlopDecider) Step(r int, _ Inbox) Outbox   { d.round = r; return nil }
+func (d *flipFlopDecider) Step(r int, _, _ []Payload)   { d.round = r }
 func (d *flipFlopDecider) Snapshot() string             { return EncodeInt(d.round) }
 func (d *flipFlopDecider) Output() (Decision, bool) {
 	return Decision{Value: EncodeInt(d.round % 2)}, true
 }
 
 func TestExecuteRejectsChangedDecision(t *testing.T) {
-	g := graph.Line(1)
-	sys := &System{G: g, Devices: []Device{&flipFlopDecider{}}, Inputs: []Input{"0"}}
-	if _, err := Execute(sys, 3); err == nil {
+	if _, err := Execute(flipFlopSystem(), 3); err == nil {
 		t.Error("decision change accepted")
 	}
 }
@@ -282,12 +232,13 @@ func TestFaultAxiom(t *testing.T) {
 func TestReplayDropsNonNeighborScripts(t *testing.T) {
 	d := NewReplayDevice(map[string][]Payload{"far": {"x"}, "nb": {"y"}})
 	d.Init("self", []string{"nb"}, "0")
-	out := d.Step(0, nil)
-	if _, ok := out["far"]; ok {
-		t.Error("script to non-neighbor retained")
-	}
-	if out["nb"] != "y" {
+	out := make([]Payload, 1)
+	d.Step(0, nil, out)
+	if out[0] != "y" {
 		t.Error("neighbor script dropped")
+	}
+	if d.Snapshot() != "replay@1;nb" {
+		t.Errorf("snapshot %q lists a non-neighbor script", d.Snapshot())
 	}
 }
 
@@ -489,5 +440,69 @@ func TestEqualPayloadsPadding(t *testing.T) {
 	}
 	if err := equalPayloads([]Payload{"x"}, []Payload{"x", "y"}); err == nil {
 		t.Error("distinct sequences equal")
+	}
+}
+
+// addressDevice sends "self>neighbor" on every slot and checks that each
+// arrival names the slot's neighbor as its sender and itself as the
+// addressee.
+type addressDevice struct {
+	self      string
+	neighbors []string
+	bad       string
+}
+
+func (d *addressDevice) Init(self string, neighbors []string, _ Input) {
+	d.self, d.neighbors = self, neighbors
+}
+
+func (d *addressDevice) Step(round int, in, out []Payload) {
+	for i, nb := range d.neighbors {
+		if want := Payload(nb + ">" + d.self); round > 0 && in[i] != want && d.bad == "" {
+			d.bad = fmt.Sprintf("slot %d got %q, want %q", i, in[i], want)
+		}
+		out[i] = Payload(d.self + ">" + nb)
+	}
+}
+
+func (d *addressDevice) Snapshot() string         { return d.bad }
+func (d *addressDevice) Output() (Decision, bool) { return Decision{}, false }
+
+// TestSlotsFollowNeighborNames pins the device ABI on a graph whose name
+// order differs from its index order (p10 and p11 sort before p2): slot
+// i of in and out belongs to neighbors[i], and Run.EdgeBehavior reports
+// the payload sent on that slot.
+func TestSlotsFollowNeighborNames(t *testing.T) {
+	g := graph.Generated("p", 12)
+	for u := 0; u < g.N(); u++ {
+		g.MustAddEdge(u, (u+1)%g.N())
+		g.MustAddEdge(u, (u+5)%g.N())
+	}
+	p := Protocol{Builders: map[string]Builder{}, Inputs: uniformInputs(g, "0")}
+	for _, name := range g.Names() {
+		p.Builders[name] = func(self string, neighbors []string, input Input) Device {
+			d := &addressDevice{}
+			d.Init(self, neighbors, input)
+			return d
+		}
+	}
+	sys, err := NewSystem(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := MustExecute(sys, 3)
+	for u := 0; u < g.N(); u++ {
+		if bad := run.Snapshots[u][2]; bad != "" {
+			t.Errorf("node %s: %s", g.Name(u), bad)
+		}
+	}
+	for _, e := range g.DirectedEdges() {
+		seq, err := run.EdgeBehavior(e.From, e.To)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Payload(e.From + ">" + e.To); seq[1] != want {
+			t.Errorf("edge %v carried %q, want %q", e, seq[1], want)
+		}
 	}
 }

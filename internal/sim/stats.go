@@ -54,8 +54,8 @@ func Trace(run *Run, width int) string {
 	edges := run.G.DirectedEdges()
 	for r := 0; r < run.Rounds; r++ {
 		fmt.Fprintf(&b, "round %d:\n", r)
-		for _, e := range edges {
-			p := run.Edges[e][r]
+		for id, e := range edges {
+			p := run.Edges[id][r]
 			if p == None {
 				continue
 			}

@@ -63,8 +63,7 @@ func NewDetectDefault(decideRound int) sim.Builder {
 
 func (d *detectDefault) Init(self string, neighbors []string, input sim.Input) {
 	d.self = self
-	d.nbs = append([]string(nil), neighbors...)
-	sort.Strings(d.nbs)
+	d.nbs = neighbors
 	switch string(input) {
 	case "0", "1":
 		d.input = string(input)
@@ -75,15 +74,14 @@ func (d *detectDefault) Init(self string, neighbors []string, input sim.Input) {
 	d.views = map[string]string{self: d.input}
 }
 
-func (d *detectDefault) Step(round int, inbox sim.Inbox) sim.Outbox {
+func (d *detectDefault) Step(round int, in, out []sim.Payload) {
 	if round > 0 {
-		for _, nb := range d.nbs {
-			payload, ok := inbox[nb]
-			if !ok {
+		for i, payload := range in {
+			if payload == sim.None {
 				d.anomaly = true // silence is a fault symptom
 				continue
 			}
-			d.ingest(nb, string(payload))
+			d.ingest(d.nbs[i], string(payload))
 		}
 	}
 	// Any disagreement among seen values is an anomaly.
@@ -100,12 +98,10 @@ func (d *detectDefault) Step(round int, inbox sim.Inbox) sim.Outbox {
 			d.decision = d.input
 		}
 	}
-	out := sim.Outbox{}
 	msg := d.encode()
-	for _, nb := range d.nbs {
-		out[nb] = msg
+	for i := range out {
+		out[i] = msg
 	}
-	return out
 }
 
 // encode is "value|anomaly" plus the sorted view, so anomaly reports
