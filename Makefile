@@ -6,9 +6,10 @@
 #              four analyzers machine-check determinism, fingerprint
 #              coverage, zero-cost observability, and buffer ownership
 #              (see internal/lint)
-# fuzz         10 s of coverage-guided fuzzing of sim.RunCodec, the disk
-#              tier's decoder; tier-1 replays only the committed corpus
-#              (internal/sim/testdata/fuzz/FuzzRunCodec)
+# fuzz         10 s each of coverage-guided fuzzing of sim.RunCodec, the
+#              disk tier's decoder, and runcache.ParseBudget, the
+#              FLM_CACHE_BUDGET parser; tier-1 replays only the committed
+#              corpora (internal/{sim,runcache}/testdata/fuzz)
 # verify-race  extended: vet + race-enabled tests; FLM_WORKERS forces the
 #              parallel sweep path so the race detector sees real
 #              concurrency even on single-core runners
@@ -75,6 +76,7 @@ lint:
 
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRunCodec$$' -fuzztime 10s
+	$(GO) test ./internal/runcache -run '^$$' -fuzz '^FuzzParseBudget$$' -fuzztime 10s
 
 verify-race: verify
 	$(GO) vet ./...

@@ -224,50 +224,18 @@ func evaluateScaledScenarios(params Params, iters []clockfn.RatLinear, run *time
 
 // Theorem8Nodes mechanizes the general node bound of Theorem 8.
 func Theorem8Nodes(params Params, g *graph.Graph, aSet, bSet, cSet []int, f int, builders map[string]Builder) (*Result, error) {
-	if g.N() > 3*f {
-		return nil, fmt.Errorf("clocksync: graph has %d > 3f = %d nodes", g.N(), 3*f)
-	}
-	if len(aSet) > f || len(bSet) > f || len(cSet) > f ||
-		len(aSet) == 0 || len(bSet) == 0 || len(cSet) == 0 {
-		return nil, fmt.Errorf("clocksync: partition blocks must be non-empty with at most f=%d nodes", f)
+	p, err := graph.NewPartition(g, f, aSet, bSet, cSet)
+	if err != nil {
+		return nil, err
 	}
 	k, err := params.ChooseK()
 	if err != nil {
 		return nil, err
 	}
-	positionsTotal := k + 2 // ring positions, divisible by 3
-	copies := positionsTotal / 3
-	block := make([]int, g.N())
-	for i := range block {
-		block[i] = -1
-	}
-	for id, set := range [][]int{aSet, bSet, cSet} {
-		for _, x := range set {
-			if x < 0 || x >= g.N() || block[x] != -1 {
-				return nil, fmt.Errorf("clocksync: invalid partition at node %d", x)
-			}
-			block[x] = id
-		}
-	}
-	for x, id := range block {
-		if id == -1 {
-			return nil, fmt.Errorf("clocksync: node %s not covered by the partition", g.Name(x))
-		}
-	}
-	// Crossing c -> a makes the ring positions consecutive:
-	// ...a_i b_i c_i a_(i+1)..., so adjacent positions are adjacent
-	// block images.
-	cover := graph.CyclicCover(g, func(u, v int) bool {
-		return block[u] == 2 && block[v] == 0
-	}, copies)
-	n := g.N()
-	position := make([]int, cover.S.N())
-	for i := range position {
-		position[i] = (i/n)*3 + block[i%n]
-	}
+	ring := p.BlockRing(k + 2) // k+2 ring positions, divisible by 3
 	h := params.H()
-	iters := clockfn.Iterates(h, -1, positionsTotal-1)
-	sys, err := installScaledCover(cover, params, builders, iters, position)
+	iters := clockfn.Iterates(h, -1, k+1)
+	sys, err := installScaledCover(ring.Cover, params, builders, iters, ring.Position)
 	if err != nil {
 		return nil, err
 	}
@@ -280,15 +248,11 @@ func Theorem8Nodes(params Params, g *graph.Graph, aSet, bSet, cSet []int, f int,
 		return nil, err
 	}
 	// Scenario pairs (position j, j+1) for j = 0..k, scaled by h^j.
-	members := make([][]int, positionsTotal)
-	for i, p := range position {
-		members[p] = append(members[p], i)
-	}
 	var scenarios []scaledScenario
 	for j := 0; j <= k; j++ {
 		scenarios = append(scenarios, scaledScenario{
 			name:  fmt.Sprintf("S%d", j),
-			u:     append(append([]int(nil), members[j]...), members[j+1]...),
+			u:     append(append([]int(nil), ring.Members[j]...), ring.Members[j+1]...),
 			scale: j,
 		})
 	}
@@ -300,7 +264,7 @@ func Theorem8Nodes(params Params, g *graph.Graph, aSet, bSet, cSet []int, f int,
 		Run:     run,
 	}
 	for _, idx := range sampleScenarios(k) {
-		if err := checkScaledScenario(cover, params, builders, h, iters, position, run, scenarios[idx], tSecond); err != nil {
+		if err := checkScaledScenario(ring.Cover, params, builders, h, iters, ring.Position, run, scenarios[idx], tSecond); err != nil {
 			return nil, fmt.Errorf("clocksync: Lemma 9 self-check failed: %w", err)
 		}
 	}
@@ -313,18 +277,16 @@ func Theorem8Nodes(params Params, g *graph.Graph, aSet, bSet, cSet []int, f int,
 
 // Theorem8Connectivity mechanizes the connectivity bound of Theorem 8.
 func Theorem8Connectivity(params Params, g *graph.Graph, bSet, dSet []int, uNode, vNode, f int, builders map[string]Builder) (*Result, error) {
-	if len(bSet) > f || len(dSet) > f {
-		return nil, fmt.Errorf("clocksync: cut halves must have at most f=%d nodes", f)
+	cut, err := graph.NewCut(g, f, bSet, dSet, uNode, vNode)
+	if err != nil {
+		return nil, err
 	}
 	k, err := params.ChooseK()
 	if err != nil {
 		return nil, err
 	}
 	copies := k + 2
-	cover, err := graph.CyclicCutCover(g, bSet, dSet, uNode, vNode, copies)
-	if err != nil {
-		return nil, err
-	}
+	cover := cut.Cover(copies)
 	n := g.N()
 	position := make([]int, cover.S.N())
 	for i := range position {
@@ -344,47 +306,13 @@ func Theorem8Connectivity(params Params, g *graph.Graph, bSet, dSet []int, uNode
 	if err != nil {
 		return nil, err
 	}
-	inD := make(map[int]bool, len(dSet))
-	for _, x := range dSet {
-		inD[x] = true
-	}
-	removed := append(append([]int(nil), bSet...), dSet...)
-	aSet := g.ComponentWithout(removed, uNode)
-	inAorCut := make(map[int]bool, g.N())
-	for _, x := range aSet {
-		inAorCut[x] = true
-	}
-	for _, x := range removed {
-		inAorCut[x] = true
-	}
-	var cSet []int
-	for x := 0; x < g.N(); x++ {
-		if !inAorCut[x] {
-			cSet = append(cSet, x)
-		}
-	}
+	// X_i (copy i without d) is scaled by h^i: all clocks q. Y_i
+	// (c_i ∪ d_i ∪ a_(i-1)) is scaled by h^(i-1): a at q, c ∪ d at p.
 	var scenarios []scaledScenario
 	for i := 0; i <= k; i++ {
-		// X_i: copy i without d, scaled by h^i (all clocks q).
-		var x []int
-		for node := 0; node < n; node++ {
-			if !inD[node] {
-				x = append(x, i*n+node)
-			}
-		}
+		x, y := cut.Scenarios(i, copies)
 		scenarios = append(scenarios, scaledScenario{name: fmt.Sprintf("X%d", i), u: x, scale: i})
 		if i >= 1 {
-			// Y_i: c_i ∪ d_i ∪ a_{i-1}, scaled by h^(i-1) (a at q, c∪d at p).
-			var y []int
-			for _, node := range cSet {
-				y = append(y, i*n+node)
-			}
-			for _, node := range dSet {
-				y = append(y, i*n+node)
-			}
-			for _, node := range aSet {
-				y = append(y, (i-1)*n+node)
-			}
 			scenarios = append(scenarios, scaledScenario{name: fmt.Sprintf("Y%d", i), u: y, scale: i - 1})
 		}
 	}

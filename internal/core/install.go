@@ -6,8 +6,14 @@
 //  2. runs S and splices scenarios of the covering run into correct
 //     behaviors of G using the Locality and Fault axioms (splice.go),
 //  3. evaluates the problem's correctness conditions on each behavior in
-//     the chain and reports the condition that breaks (chain.go and the
-//     per-theorem files).
+//     the chain and reports the condition that breaks (chain.go).
+//
+// chain.go holds the one driver every theorem shares. The theorem files
+// only choose a layout — a cover and its ordered scenarios, built from
+// graph's checked partitions and cuts — and a problem's conditions:
+// theorem1.go the two-copy argument of Theorems 1 and 5, theorem24.go
+// the ring argument of Theorems 2 and 4, theorem56.go Theorem 5's
+// conditions and Theorem 6.
 //
 // At least one condition must break — that is the theorem — and the
 // engine fails loudly if its axiom self-checks or the chain logic ever

@@ -7,6 +7,107 @@ import (
 	"flm/internal/sim"
 )
 
+// twoCopyProblem is a problem the two-copy argument of Theorems 1 and 5
+// defeats: the inputs the two copies hold and the conditions it judges.
+type twoCopyProblem struct {
+	name      string
+	zero, one sim.Input
+	judge     check
+}
+
+var byzantineAgreement = twoCopyProblem{"Byzantine agreement", sim.BoolInput(false), sim.BoolInput(true), checkByzantine}
+
+// twoCopyLayout is a double cover of G and the three scenarios of the
+// argument: E1 inside copy 0, E2 straddling the crossed edges, E3 inside
+// copy 1.
+type twoCopyLayout struct {
+	f     int
+	cover *graph.Cover
+	u     [3][]int
+}
+
+// partitionPair lays the node-bound argument out on the partition's
+// double cover: E1 = b ∪ c in copy 0 (a faulty), E2 = c in copy 0 with
+// a in copy 1 (b faulty), E3 = a ∪ b in copy 1 (c faulty).
+func partitionPair(p *graph.Partition) twoCopyLayout {
+	s0, s1 := p.Scenarios(0, 2), p.Scenarios(1, 2)
+	return twoCopyLayout{p.F, p.Cover(2), [3][]int{s0[1], s1[2], s1[0]}}
+}
+
+// cutPair lays the connectivity argument out on the cut's double cover:
+// E1 = a ∪ b ∪ c in copy 0 (d faulty), E2 = c ∪ d in copy 0 with a in
+// copy 1 (b faulty), E3 = a ∪ b ∪ c in copy 1 (d faulty).
+func cutPair(c *graph.Cut) twoCopyLayout {
+	x0, y0 := c.Scenarios(0, 2)
+	x1, _ := c.Scenarios(1, 2)
+	return twoCopyLayout{c.F, c.Cover(2), [3][]int{x0, y0, x1}}
+}
+
+// twoCopy runs the two-copy argument: copy 0 of the double cover holds
+// input zero, copy 1 input one, and E1, E2, E3 are spliced into
+// behaviors of G. E2 shares one side's behavior with E1 and the other's
+// with E3, so the problem's conditions cannot all hold.
+func twoCopy(p twoCopyProblem, l twoCopyLayout, theorem string, expect [3]string, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
+	cr := &ChainResult{Theorem: theorem, Problem: p.name, Device: device, F: l.f, G: l.cover.G}
+	s, n := l.cover.S, l.cover.G.N()
+	inputs := make(map[string]sim.Input, s.N())
+	for u := 0; u < s.N(); u++ {
+		inputs[s.Name(u)] = p.zero
+		if u >= n {
+			inputs[s.Name(u)] = p.one
+		}
+	}
+	inst, err := cr.runCover(l.cover, builders, inputs, rounds)
+	if err != nil {
+		return nil, err
+	}
+	scenarios := make([]scenario, len(l.u))
+	for i, u := range l.u {
+		scenarios[i] = scenario{fmt.Sprintf("E%d", i+1), u, expect[i]}
+	}
+	return cr.chain(inst, builders, scenarios, p.judge)
+}
+
+// checkByzantine judges termination, agreement and — when the correct
+// nodes' inputs are unanimous — validity.
+func checkByzantine(run *sim.Run, correct []string) []condition {
+	var conds []condition
+	decided := map[string]string{}
+	for _, name := range correct {
+		d, err := run.DecisionOf(name)
+		if err != nil || d.Value == "" {
+			conds = append(conds, condition{"termination", fmt.Errorf("correct node %s never decided", name)})
+			continue
+		}
+		decided[name] = d.Value
+	}
+	first := ""
+	for _, name := range correct {
+		v, ok := decided[name]
+		if !ok {
+			continue
+		}
+		if first == "" {
+			first = v
+		} else if v != first {
+			conds = append(conds, condition{"agreement", fmt.Errorf("correct nodes decided both %s and %s", first, v)})
+			break
+		}
+	}
+	want := run.Inputs[run.G.MustIndex(correct[0])]
+	for _, name := range correct[1:] {
+		if run.Inputs[run.G.MustIndex(name)] != want {
+			return conds
+		}
+	}
+	for _, name := range correct {
+		if v, ok := decided[name]; ok && v != string(want) {
+			return append(conds, condition{"validity", fmt.Errorf("unanimous correct input %s but %s decided %s", want, name, v)})
+		}
+	}
+	return conds
+}
+
 // ByzantineNodes mechanizes the 3f+1 node bound of Theorem 1. The graph g
 // must have n <= 3f nodes, partitioned into non-empty blocks a, b, c of
 // size at most f. The devices (builders, keyed by node name) are
@@ -22,68 +123,15 @@ import (
 // failed the a-nodes would have decided both 0 and 1. The engine reports
 // every condition that actually fails; at least one must.
 func ByzantineNodes(g *graph.Graph, f int, a, b, c []int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
-	if g.N() > 3*f {
-		return nil, fmt.Errorf("core: graph has %d > 3f = %d nodes; not inadequate by node count", g.N(), 3*f)
-	}
-	if len(a) > f || len(b) > f || len(c) > f {
-		return nil, fmt.Errorf("core: partition blocks must have at most f=%d nodes", f)
-	}
-	cover, err := graph.PartitionCover(g, a, b, c)
+	p, err := graph.NewPartition(g, f, a, b, c)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := InstallCover(cover, builders, copyInputs(cover.S, sim.BoolInput(false), sim.BoolInput(true)))
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 1 (3f+1 nodes)",
-		Problem:   "Byzantine agreement",
-		Device:    device,
-		F:         f,
-		G:         g,
-		CoverSize: cover.S.N(),
-		RunS:      runS,
-	}
-
-	n := g.N()
-	copy0 := func(nodes []int) []int { return append([]int(nil), nodes...) }
-	copy1 := func(nodes []int) []int {
-		shifted := make([]int, len(nodes))
-		for i, u := range nodes {
-			shifted[i] = u + n
-		}
-		return shifted
-	}
-	scenarios := []struct {
-		name   string
-		u      []int
-		want   string
-		expect string
-	}{
-		{"E1", append(copy0(b), copy0(c)...), "0", "validity forces all correct nodes to choose 0"},
-		{"E2", append(copy0(c), copy1(a)...), "", "agreement chains c's choice (0) to a's"},
-		{"E3", append(copy1(a), copy1(b)...), "1", "validity forces all correct nodes to choose 1"},
-	}
-	for _, sc := range scenarios {
-		sp, err := SpliceScenario(inst, runS, sc.u, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", sc.name, err)
-		}
-		cr.addLink(Link{
-			Name: sc.name, Splice: sp, Expect: sc.expect,
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		cr.addBAViolations(sc.name, sp, sc.want)
-	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across E1,E2,E3 — impossible (engine or device-determinism bug):\n%s", cr)
-	}
-	return cr, nil
+	return twoCopy(byzantineAgreement, partitionPair(p), "Theorem 1 (3f+1 nodes)", [3]string{
+		"validity forces all correct nodes to choose 0",
+		"agreement chains c's choice (0) to a's",
+		"validity forces all correct nodes to choose 1",
+	}, builders, device, rounds)
 }
 
 // ByzantineTriangle runs the f=1 triangle case of the node bound — the
@@ -103,91 +151,19 @@ func ByzantineTriangle(builders map[string]sim.Builder, device string, rounds in
 //	E2 = S2: c,d (copy 0) and a (copy 1) correct, b faulty -> agreement
 //	E3 = S3: a,b,c (copy 1) correct with input 1, d faulty -> validity forces 1
 func ByzantineConnectivity(g *graph.Graph, f int, bSet, dSet []int, uNode, vNode int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
-	if len(bSet) > f || len(dSet) > f {
-		return nil, fmt.Errorf("core: cut halves must have at most f=%d nodes", f)
-	}
-	cover, err := graph.CutCover(g, bSet, dSet, uNode, vNode)
+	c, err := graph.NewCut(g, f, bSet, dSet, uNode, vNode)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := InstallCover(cover, builders, copyInputs(cover.S, sim.BoolInput(false), sim.BoolInput(true)))
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 1 (2f+1 connectivity)",
-		Problem:   "Byzantine agreement",
-		Device:    device,
-		F:         f,
-		G:         g,
-		CoverSize: cover.S.N(),
-		RunS:      runS,
-	}
-
-	removed := append(append([]int(nil), bSet...), dSet...)
-	aSet := g.ComponentWithout(removed, uNode)
-	inAorCut := make(map[int]bool, g.N())
-	for _, x := range aSet {
-		inAorCut[x] = true
-	}
-	for _, x := range removed {
-		inAorCut[x] = true
-	}
-	var cSet []int
-	for x := 0; x < g.N(); x++ {
-		if !inAorCut[x] {
-			cSet = append(cSet, x)
-		}
-	}
-	n := g.N()
-	shift := func(nodes []int, by int) []int {
-		out := make([]int, len(nodes))
-		for i, u := range nodes {
-			out[i] = u + by
-		}
-		return out
-	}
-	concat := func(parts ...[]int) []int {
-		var out []int
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		return out
-	}
-	scenarios := []struct {
-		name   string
-		u      []int
-		want   string
-		expect string
-	}{
-		{"E1", concat(aSet, bSet, cSet), "0", "validity forces all correct nodes to choose 0"},
-		{"E2", concat(cSet, dSet, shift(aSet, n)), "", "agreement chains c's choice (0) through d to a's"},
-		{"E3", concat(shift(aSet, n), shift(bSet, n), shift(cSet, n)), "1", "validity forces all correct nodes to choose 1"},
-	}
-	for _, sc := range scenarios {
-		sp, err := SpliceScenario(inst, runS, sc.u, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", sc.name, err)
-		}
-		cr.addLink(Link{
-			Name: sc.name, Splice: sp, Expect: sc.expect,
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		cr.addBAViolations(sc.name, sp, sc.want)
-	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across S1,S2,S3 — impossible (engine or device-determinism bug):\n%s", cr)
-	}
-	return cr, nil
+	return twoCopy(byzantineAgreement, cutPair(c), "Theorem 1 (2f+1 connectivity)", [3]string{
+		"validity forces all correct nodes to choose 0",
+		"agreement chains c's choice (0) through d to a's",
+		"validity forces all correct nodes to choose 1",
+	}, builders, device, rounds)
 }
 
 // ByzantineDiamond runs the f=1 connectivity case on the paper's
 // four-node diamond graph (connectivity 2, cut {b,d}).
 func ByzantineDiamond(builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
-	g := graph.Diamond()
-	return ByzantineConnectivity(g, 1, []int{1}, []int{3}, 0, 2, builders, device, rounds)
+	return ByzantineConnectivity(graph.Diamond(), 1, []int{1}, []int{3}, 0, 2, builders, device, rounds)
 }

@@ -9,6 +9,12 @@ import (
 	"flm/internal/sim"
 )
 
+var simpleApprox = twoCopyProblem{"simple approximate agreement", sim.RealInput(0), sim.RealInput(1),
+	func(run *sim.Run, correct []string) []condition {
+		rep := approx.CheckSimple(run, correct)
+		return []condition{{"termination", rep.Termination}, {"agreement", rep.Agreement}, {"validity", rep.Validity}}
+	}}
+
 // SimpleApproxNodes mechanizes Theorem 5 (simple approximate agreement
 // needs 3f+1 nodes). The construction is exactly the Byzantine one — the
 // two-copy covering with inputs 0 and 1 — but the evaluated conditions
@@ -21,63 +27,15 @@ import (
 // If E1 and E3 hold, the choices in E2 are 0 and 1, no closer than the
 // inputs — violating the strict-contraction agreement condition.
 func SimpleApproxNodes(g *graph.Graph, f int, a, b, c []int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
-	if g.N() > 3*f {
-		return nil, fmt.Errorf("core: graph has %d > 3f = %d nodes; not inadequate by node count", g.N(), 3*f)
-	}
-	cover, err := graph.PartitionCover(g, a, b, c)
+	p, err := graph.NewPartition(g, f, a, b, c)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := InstallCover(cover, builders, copyInputs(cover.S, sim.RealInput(0), sim.RealInput(1)))
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 5 (3f+1 nodes)",
-		Problem:   "simple approximate agreement",
-		Device:    device,
-		F:         f,
-		G:         g,
-		CoverSize: cover.S.N(),
-		RunS:      runS,
-	}
-	n := g.N()
-	shift := func(nodes []int) []int {
-		out := make([]int, len(nodes))
-		for i, u := range nodes {
-			out[i] = u + n
-		}
-		return out
-	}
-	scenarios := []struct {
-		name   string
-		u      []int
-		expect string
-	}{
-		{"E1", append(append([]int(nil), b...), c...), "validity pins every choice to 0"},
-		{"E2", append(append([]int(nil), c...), shift(a)...), "choices must be strictly closer than the inputs (1 apart)"},
-		{"E3", append(shift(a), shift(b)...), "validity pins every choice to 1"},
-	}
-	for _, sc := range scenarios {
-		sp, err := SpliceScenario(inst, runS, sc.u, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", sc.name, err)
-		}
-		cr.addLink(Link{
-			Name: sc.name, Splice: sp, Expect: sc.expect,
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		rep := approx.CheckSimple(sp.Run, sp.Correct)
-		cr.addApproxViolations(sc.name, rep)
-	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across E1,E2,E3 — impossible:\n%s", cr)
-	}
-	return cr, nil
+	return twoCopy(simpleApprox, partitionPair(p), "Theorem 5 (3f+1 nodes)", [3]string{
+		"validity pins every choice to 0",
+		"choices must be strictly closer than the inputs (1 apart)",
+		"validity pins every choice to 1",
+	}, builders, device, rounds)
 }
 
 // SimpleApproxTriangle runs the f=1 hexagon case of Theorem 5.
@@ -85,22 +43,18 @@ func SimpleApproxTriangle(builders map[string]sim.Builder, device string, rounds
 	return SimpleApproxNodes(graph.Triangle(), 1, []int{0}, []int{1}, []int{2}, builders, device, rounds)
 }
 
-func (cr *ChainResult) addApproxViolations(linkName string, rep approx.SimpleReport) {
-	if rep.Termination != nil {
-		cr.Violations = append(cr.Violations, Violation{
-			Link: linkName, Condition: "termination", Detail: rep.Termination.Error(),
-		})
+// SimpleApproxConnectivity mechanizes the connectivity half of Theorem 5
+// (same structure as the Byzantine case, approximate conditions).
+func SimpleApproxConnectivity(g *graph.Graph, f int, bSet, dSet []int, uNode, vNode int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
+	c, err := graph.NewCut(g, f, bSet, dSet, uNode, vNode)
+	if err != nil {
+		return nil, err
 	}
-	if rep.Agreement != nil {
-		cr.Violations = append(cr.Violations, Violation{
-			Link: linkName, Condition: "agreement", Detail: rep.Agreement.Error(),
-		})
-	}
-	if rep.Validity != nil {
-		cr.Violations = append(cr.Violations, Violation{
-			Link: linkName, Condition: "validity", Detail: rep.Validity.Error(),
-		})
-	}
+	return twoCopy(simpleApprox, cutPair(c), "Theorem 5 (2f+1 connectivity)", [3]string{
+		"validity pins every choice to 0",
+		"choices strictly closer than the inputs (1 apart)",
+		"validity pins every choice to 1",
+	}, builders, device, rounds)
 }
 
 // EDGParams are the (ε,δ,γ)-agreement parameters; the theorem requires
@@ -126,6 +80,32 @@ func (p EDGParams) RingSize() (k, size int, err error) {
 	return k, k + 2, nil
 }
 
+// prove runs Theorem 6's argument on a covering whose S-node s holds
+// input position[s]·δ: every scenario splices into a behavior of G
+// whose correct inputs are at most δ apart, and Lemma 7's induction
+// makes the conditions along the chain collectively unsatisfiable.
+func (p EDGParams) prove(theorem string, f int, cover *graph.Cover, position []int, scenarios []scenario, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
+	cr := &ChainResult{
+		Theorem: theorem,
+		Problem: fmt.Sprintf("(ε=%v, δ=%v, γ=%v)-agreement", p.Eps, p.Delta, p.Gamma),
+		Device:  device,
+		F:       f,
+		G:       cover.G,
+	}
+	inputs := make(map[string]sim.Input, cover.S.N())
+	for s, pos := range position {
+		inputs[cover.S.Name(s)] = sim.RealInput(float64(pos) * p.Delta)
+	}
+	inst, err := cr.runCover(cover, builders, inputs, rounds)
+	if err != nil {
+		return nil, err
+	}
+	return cr.chain(inst, builders, scenarios, func(run *sim.Run, correct []string) []condition {
+		rep := approx.CheckEDG(run, correct, p.Eps, p.Gamma)
+		return []condition{{"termination", rep.Termination}, {"agreement", rep.Agreement}, {"validity", rep.Validity}}
+	})
+}
+
 // EpsilonDeltaGamma mechanizes Theorem 6: (ε,δ,γ)-agreement with
 // eps < delta is impossible on the triangle (and hence on all inadequate
 // graphs). The devices are installed on a ring of k+2 nodes covering the
@@ -140,54 +120,16 @@ func EpsilonDeltaGamma(params EDGParams, builders map[string]sim.Builder, device
 	if err != nil {
 		return nil, err
 	}
-	cover := graph.RingCoverTriangle(size)
-	inputs := make(map[string]sim.Input, size)
-	for i := 0; i < size; i++ {
-		inputs[cover.S.Name(i)] = sim.RealInput(float64(i) * params.Delta)
+	position := make([]int, size)
+	for i := range position {
+		position[i] = i
 	}
-	inst, err := InstallCover(cover, builders, inputs)
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 6 ((ε,δ,γ)-agreement)",
-		Problem:   fmt.Sprintf("(ε=%v, δ=%v, γ=%v)-agreement", params.Eps, params.Delta, params.Gamma),
-		Device:    device,
-		F:         1,
-		G:         cover.G,
-		CoverSize: size,
-		RunS:      runS,
-	}
+	var scenarios []scenario
 	for i := 0; i <= k; i++ {
-		name := fmt.Sprintf("S%d", i)
-		sp, err := SpliceScenario(inst, runS, []int{i, i + 1}, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
-		cr.addLink(Link{
-			Name: name, Splice: sp,
-			Expect:  fmt.Sprintf("choices within ε of each other and within [%v-γ, %v+γ]", float64(i)*params.Delta, float64(i+1)*params.Delta),
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		rep := approx.CheckEDG(sp.Run, sp.Correct, params.Eps, params.Gamma)
-		if rep.Termination != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "termination", Detail: rep.Termination.Error()})
-		}
-		if rep.Agreement != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "agreement", Detail: rep.Agreement.Error()})
-		}
-		if rep.Validity != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "validity", Detail: rep.Validity.Error()})
-		}
+		scenarios = append(scenarios, scenario{fmt.Sprintf("S%d", i), []int{i, i + 1},
+			fmt.Sprintf("choices within ε of each other and within [%v-γ, %v+γ]", float64(i)*params.Delta, float64(i+1)*params.Delta)})
 	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across S0..S%d — impossible (Lemma 7 arithmetic):\n%s", k, cr)
-	}
-	return cr, nil
+	return params.prove("Theorem 6 ((ε,δ,γ)-agreement)", 1, graph.RingCoverTriangle(size), position, scenarios, builders, device, rounds)
 }
 
 // EpsilonDeltaGammaNodes mechanizes the general node bound of Theorem 6
@@ -197,91 +139,23 @@ func EpsilonDeltaGamma(params EDGParams, builders map[string]sim.Builder, device
 // a correct behavior whose inputs are at most delta apart. Lemma 7's
 // induction is unchanged.
 func EpsilonDeltaGammaNodes(params EDGParams, g *graph.Graph, f int, aSet, bSet, cSet []int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
-	if g.N() > 3*f {
-		return nil, fmt.Errorf("core: graph has %d > 3f = %d nodes; not inadequate by node count", g.N(), 3*f)
-	}
-	if len(aSet) > f || len(bSet) > f || len(cSet) > f ||
-		len(aSet) == 0 || len(bSet) == 0 || len(cSet) == 0 {
-		return nil, fmt.Errorf("core: partition blocks must be non-empty with at most f=%d nodes", f)
+	p, err := graph.NewPartition(g, f, aSet, bSet, cSet)
+	if err != nil {
+		return nil, err
 	}
 	k, size, err := params.RingSize()
 	if err != nil {
 		return nil, err
 	}
-	block := make([]int, g.N())
-	for i := range block {
-		block[i] = -1
-	}
-	for id, set := range [][]int{aSet, bSet, cSet} {
-		for _, x := range set {
-			if x < 0 || x >= g.N() || block[x] != -1 {
-				return nil, fmt.Errorf("core: invalid partition at node %d", x)
-			}
-			block[x] = id
-		}
-	}
-	for x, id := range block {
-		if id == -1 {
-			return nil, fmt.Errorf("core: node %s not covered by the partition", g.Name(x))
-		}
-	}
-	copies := size / 3
-	cover := graph.CyclicCover(g, func(u, v int) bool {
-		return block[u] == 2 && block[v] == 0 // c_i -> a_(i+1): consecutive positions
-	}, copies)
-	n := g.N()
-	position := make([]int, cover.S.N())
-	members := make([][]int, size)
-	inputs := make(map[string]sim.Input, cover.S.N())
-	for i := range position {
-		position[i] = (i/n)*3 + block[i%n]
-		members[position[i]] = append(members[position[i]], i)
-		inputs[cover.S.Name(i)] = sim.RealInput(float64(position[i]) * params.Delta)
-	}
-	inst, err := InstallCover(cover, builders, inputs)
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 6 ((ε,δ,γ)-agreement, 3f+1 nodes, general case)",
-		Problem:   fmt.Sprintf("(ε=%v, δ=%v, γ=%v)-agreement", params.Eps, params.Delta, params.Gamma),
-		Device:    device,
-		F:         f,
-		G:         g,
-		CoverSize: cover.S.N(),
-		RunS:      runS,
-	}
+	ring := p.BlockRing(size)
+	var scenarios []scenario
 	for j := 0; j <= k; j++ {
-		name := fmt.Sprintf("S%d", j)
-		u := append(append([]int(nil), members[j]...), members[j+1]...)
-		sp, err := SpliceScenario(inst, runS, u, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
-		cr.addLink(Link{
-			Name: name, Splice: sp,
-			Expect:  fmt.Sprintf("choices within ε and within γ of [%v, %v]", float64(j)*params.Delta, float64(j+1)*params.Delta),
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		rep := approx.CheckEDG(sp.Run, sp.Correct, params.Eps, params.Gamma)
-		if rep.Termination != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "termination", Detail: rep.Termination.Error()})
-		}
-		if rep.Agreement != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "agreement", Detail: rep.Agreement.Error()})
-		}
-		if rep.Validity != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "validity", Detail: rep.Validity.Error()})
-		}
+		scenarios = append(scenarios, scenario{fmt.Sprintf("S%d", j),
+			append(append([]int(nil), ring.Members[j]...), ring.Members[j+1]...),
+			fmt.Sprintf("choices within ε and within γ of [%v, %v]", float64(j)*params.Delta, float64(j+1)*params.Delta)})
 	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across the block ring — impossible:\n%s", cr)
-	}
-	return cr, nil
+	return params.prove("Theorem 6 ((ε,δ,γ)-agreement, 3f+1 nodes, general case)", f, ring.Cover, ring.Position,
+		scenarios, builders, device, rounds)
 }
 
 // EpsilonDeltaGammaConnectivity mechanizes the connectivity bound of
@@ -290,97 +164,30 @@ func EpsilonDeltaGammaNodes(params EDGParams, g *graph.Graph, f int, aSet, bSet,
 // input spread 0 and the cross-copy scenarios (Y_i = c_i ∪ d_i ∪ a_{i-1},
 // b faulty) have spread exactly delta.
 func EpsilonDeltaGammaConnectivity(params EDGParams, g *graph.Graph, f int, bSet, dSet []int, uNode, vNode int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
-	if len(bSet) > f || len(dSet) > f {
-		return nil, fmt.Errorf("core: cut halves must have at most f=%d nodes", f)
+	c, err := graph.NewCut(g, f, bSet, dSet, uNode, vNode)
+	if err != nil {
+		return nil, err
 	}
 	k, size, err := params.RingSize()
 	if err != nil {
 		return nil, err
 	}
-	copies := size // one copy per ring position
-	cover, err := graph.CyclicCutCover(g, bSet, dSet, uNode, vNode, copies)
-	if err != nil {
-		return nil, err
+	cover := c.Cover(size) // one copy per ring position
+	position := make([]int, cover.S.N())
+	for s := range position {
+		position[s] = s / g.N()
 	}
-	n := g.N()
-	inputs := make(map[string]sim.Input, cover.S.N())
-	for i := 0; i < cover.S.N(); i++ {
-		inputs[cover.S.Name(i)] = sim.RealInput(float64(i/n) * params.Delta)
-	}
-	inst, err := InstallCover(cover, builders, inputs)
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 6 ((ε,δ,γ)-agreement, 2f+1 connectivity)",
-		Problem:   fmt.Sprintf("(ε=%v, δ=%v, γ=%v)-agreement", params.Eps, params.Delta, params.Gamma),
-		Device:    device,
-		F:         f,
-		G:         g,
-		CoverSize: cover.S.N(),
-		RunS:      runS,
-	}
-	aSet, cSet := cutSets(g, bSet, dSet, uNode)
-	inD := make(map[int]bool, len(dSet))
-	for _, x := range dSet {
-		inD[x] = true
-	}
-	evaluate := func(name string, u []int) error {
-		sp, err := SpliceScenario(inst, runS, u, builders)
-		if err != nil {
-			return fmt.Errorf("core: %s: %w", name, err)
-		}
-		cr.addLink(Link{
-			Name: name, Splice: sp,
-			Expect:  "choices within ε and within γ of the inputs",
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		rep := approx.CheckEDG(sp.Run, sp.Correct, params.Eps, params.Gamma)
-		if rep.Termination != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "termination", Detail: rep.Termination.Error()})
-		}
-		if rep.Agreement != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "agreement", Detail: rep.Agreement.Error()})
-		}
-		if rep.Validity != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "validity", Detail: rep.Validity.Error()})
-		}
-		return nil
-	}
+	const expect = "choices within ε and within γ of the inputs"
+	var scenarios []scenario
 	for i := 0; i <= k; i++ {
-		var x []int
-		for node := 0; node < n; node++ {
-			if !inD[node] {
-				x = append(x, i*n+node)
-			}
-		}
-		if err := evaluate(fmt.Sprintf("X%d", i), x); err != nil {
-			return nil, err
-		}
+		x, y := c.Scenarios(i, size)
+		scenarios = append(scenarios, scenario{fmt.Sprintf("X%d", i), x, expect})
 		if i >= 1 {
-			var y []int
-			for _, node := range cSet {
-				y = append(y, i*n+node)
-			}
-			for _, node := range dSet {
-				y = append(y, i*n+node)
-			}
-			for _, node := range aSet {
-				y = append(y, (i-1)*n+node)
-			}
-			if err := evaluate(fmt.Sprintf("Y%d", i), y); err != nil {
-				return nil, err
-			}
+			scenarios = append(scenarios, scenario{fmt.Sprintf("Y%d", i), y, expect})
 		}
 	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across the copy ring — impossible:\n%s", cr)
-	}
-	return cr, nil
+	return params.prove("Theorem 6 ((ε,δ,γ)-agreement, 2f+1 connectivity)", f, cover, position,
+		scenarios, builders, device, rounds)
 }
 
 // Lemma7Bounds returns, for each node i in 1..k+1, the ceiling that

@@ -199,3 +199,13 @@ func TestLemma7Bounds(t *testing.T) {
 		t.Errorf("no contradiction: ceiling[k]=%v >= floor=%v (k=%d)", ceilings[k], floor, k)
 	}
 }
+
+// A block of more than f nodes is not a fault set, so the node-bound
+// argument does not apply to it; every prover must reject the layout.
+func TestSimpleApproxRejectsOversizedBlock(t *testing.T) {
+	g := graph.Complete(5)
+	if _, err := SimpleApproxNodes(g, 2, []int{0, 1, 2}, []int{3}, []int{4},
+		uniformBuilders(g, approx.NewMedian(2)), "median", 8); err == nil {
+		t.Error("3-node block accepted with f=2")
+	}
+}

@@ -163,9 +163,9 @@ func TestCIPerfbenchPinned(t *testing.T) {
 	}
 }
 
-// TestCIFuzzPinned: the workflow runs the time-boxed RunCodec fuzzer,
-// the Makefile target keeps its target and time box, and the seed
-// corpus tier-1 replays is committed.
+// TestCIFuzzPinned: the workflow runs the time-boxed fuzzers, the
+// Makefile target keeps both targets (RunCodec, then ParseBudget) and
+// their time boxes, and the seed corpora tier-1 replays are committed.
 func TestCIFuzzPinned(t *testing.T) {
 	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
 	if err != nil {
@@ -178,13 +178,17 @@ func TestCIFuzzPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recipe := `(?m)^fuzz:\n\t\$\(GO\) test ./internal/sim -run '\^\$\$' -fuzz '\^FuzzRunCodec\$\$' -fuzztime 10s$`
+	recipe := `(?m)^fuzz:\n` +
+		`\t\$\(GO\) test ./internal/sim -run '\^\$\$' -fuzz '\^FuzzRunCodec\$\$' -fuzztime 10s\n` +
+		`\t\$\(GO\) test ./internal/runcache -run '\^\$\$' -fuzz '\^FuzzParseBudget\$\$' -fuzztime 10s$`
 	if !regexp.MustCompile(recipe).Match(mk) {
-		t.Error("Makefile fuzz target no longer runs FuzzRunCodec for 10s")
+		t.Error("Makefile fuzz target no longer runs FuzzRunCodec and FuzzParseBudget for 10s each")
 	}
-	corpus, err := os.ReadDir("../sim/testdata/fuzz/FuzzRunCodec")
-	if err != nil || len(corpus) == 0 {
-		t.Errorf("FuzzRunCodec seed corpus missing (%v)", err)
+	for _, dir := range []string{"../sim/testdata/fuzz/FuzzRunCodec", "../runcache/testdata/fuzz/FuzzParseBudget"} {
+		corpus, err := os.ReadDir(dir)
+		if err != nil || len(corpus) == 0 {
+			t.Errorf("seed corpus %s missing (%v)", dir, err)
+		}
 	}
 }
 

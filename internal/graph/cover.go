@@ -185,130 +185,6 @@ func CyclicCover(g *Graph, cross func(u, v int) bool, m int) *Cover {
 	return &Cover{S: s, G: g, Phi: phi}
 }
 
-// TwoCopyCover builds the generic double covering of g used for both
-// general lower bounds in the paper: CyclicCover with two copies.
-func TwoCopyCover(g *Graph, cross func(u, v int) bool) *Cover {
-	return CyclicCover(g, cross, 2)
-}
-
-// PartitionCover builds the covering for the general n <= 3f node bound
-// (Section 3.1): the nodes of g are partitioned into three non-empty
-// blocks a, b, c (each of size <= f in the proof), and the edges between
-// the a-block and the c-block are crossed between the two copies. The
-// resulting hexagon-of-blocks u,v,w,x,y,z structure is exactly the
-// paper's figure.
-func PartitionCover(g *Graph, a, b, c []int) (*Cover, error) {
-	block := make([]int, g.N())
-	for i := range block {
-		block[i] = -1
-	}
-	assign := func(nodes []int, id int) error {
-		if len(nodes) == 0 {
-			return fmt.Errorf("graph: partition block %d is empty", id)
-		}
-		for _, u := range nodes {
-			if u < 0 || u >= g.N() {
-				return fmt.Errorf("graph: partition node %d out of range", u)
-			}
-			if block[u] != -1 {
-				return fmt.Errorf("graph: node %s in two partition blocks", g.Name(u))
-			}
-			block[u] = id
-		}
-		return nil
-	}
-	if err := assign(a, 0); err != nil {
-		return nil, err
-	}
-	if err := assign(b, 1); err != nil {
-		return nil, err
-	}
-	if err := assign(c, 2); err != nil {
-		return nil, err
-	}
-	for u, id := range block {
-		if id == -1 {
-			return nil, fmt.Errorf("graph: node %s not covered by the partition", g.Name(u))
-		}
-	}
-	cover := TwoCopyCover(g, func(u, v int) bool {
-		return block[u] == 0 && block[v] == 2
-	})
-	return cover, nil
-}
-
-// CutCover builds the covering for the general connectivity bound
-// (Section 3.2): b and d are disjoint node sets (each of size <= f in the
-// proof) whose removal disconnects u from v; the edges between the
-// component of u in G-(b∪d) (the "a" set) and the d set are crossed
-// between the two copies, generalizing the paper's eight-node ring.
-func CutCover(g *Graph, b, d []int, u, v int) (*Cover, error) {
-	return CyclicCutCover(g, b, d, u, v, 2)
-}
-
-// CyclicCutCover builds the m-copy ring-of-copies covering for the
-// connectivity bounds of the timed problems (weak agreement and the
-// firing squad, Section 4-5 "the connectivity bound follows as for
-// Byzantine agreement"): like CutCover, but with m copies arranged
-// cyclically, so the chain of spliced scenarios can be long enough for
-// the Bounded-Delay argument. Removing the b- and d-copies partitions the
-// ring into 2m arcs whose middles are many copy-crossings away from
-// opposite inputs.
-func CyclicCutCover(g *Graph, b, d []int, u, v, m int) (*Cover, error) {
-	inA, _, err := validateCut(g, b, d, u, v)
-	if err != nil {
-		return nil, err
-	}
-	inD := make(map[int]bool, len(d))
-	for _, x := range d {
-		inD[x] = true
-	}
-	cover := CyclicCover(g, func(x, y int) bool {
-		return inA[x] && inD[y]
-	}, m)
-	return cover, nil
-}
-
-// validateCut checks the (b, d, u, v) cut arguments shared by CutCover
-// and CyclicCutCover, returning membership maps for the component of u
-// (the "a" set) and the removed set.
-func validateCut(g *Graph, b, d []int, u, v int) (inA, removed map[int]bool, err error) {
-	removed = make(map[int]bool, len(b)+len(d))
-	for _, x := range b {
-		if removed[x] {
-			return nil, nil, fmt.Errorf("graph: duplicate cut node %s", g.Name(x))
-		}
-		removed[x] = true
-	}
-	for _, x := range d {
-		if removed[x] {
-			return nil, nil, fmt.Errorf("graph: cut sets b and d overlap at %s", g.Name(x))
-		}
-		removed[x] = true
-	}
-	if removed[u] || removed[v] {
-		return nil, nil, fmt.Errorf("graph: separated nodes must lie outside the cut")
-	}
-	inA = make(map[int]bool, g.N())
-	stack := []int{u}
-	inA[u] = true
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, y := range g.Neighbors(x) {
-			if !removed[y] && !inA[y] {
-				inA[y] = true
-				stack = append(stack, y)
-			}
-		}
-	}
-	if inA[v] {
-		return nil, nil, fmt.Errorf("graph: removing b ∪ d does not separate %s from %s",
-			g.Name(u), g.Name(v))
-	}
-	return inA, removed, nil
-}
-
 // DiamondCover returns the eight-node covering of the Diamond graph from
 // Section 3.2 (two copies with the a-d edges crossed), whose S is the
 // 8-cycle a.0-b.0-c.0-d.0-a.1-b.1-c.1-d.1.

@@ -342,34 +342,6 @@ func (g *Graph) IsConnected() bool {
 	return count == g.N()
 }
 
-// ComponentWithout returns the sorted connected component of start in the
-// graph with the removed nodes deleted. start must not be removed.
-func (g *Graph) ComponentWithout(removed []int, start int) []int {
-	gone := make(map[int]bool, len(removed))
-	for _, u := range removed {
-		gone[u] = true
-	}
-	if gone[start] {
-		panic(fmt.Sprintf("graph: start node %s is removed", g.names[start]))
-	}
-	seen := map[int]bool{start: true}
-	stack := []int{start}
-	var comp []int
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		comp = append(comp, u)
-		for _, v := range g.adj[u] {
-			if !gone[v] && !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	sort.Ints(comp)
-	return comp
-}
-
 // Components returns the connected components of g as sorted index slices,
 // ordered by smallest member.
 func (g *Graph) Components() [][]int {

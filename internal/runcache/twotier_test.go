@@ -292,6 +292,10 @@ func TestParseBudget(t *testing.T) {
 		{" 5 MiB ", 5 << 20, true},
 		{"nonsense", 0, false},
 		{"12q", 0, false},
+		{"8589934591g", 8589934591 << 30, true}, // the largest whole-GiB budget
+		{"17179869184g", 0, false},              // 2^64 bytes: wrapped to 0
+		{"8589934592g", 0, false},               // 2^63 bytes: wrapped to MinInt64
+		{"9223372036854775807k", 0, false},      // wrapped to -1024, "unbounded"
 	}
 	for _, tc := range cases {
 		got, ok := ParseBudget(tc.in)
