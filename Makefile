@@ -7,9 +7,10 @@
 #              coverage, zero-cost observability, and buffer ownership
 #              (see internal/lint)
 # fuzz         10 s each of coverage-guided fuzzing of sim.RunCodec, the
-#              disk tier's decoder, and runcache.ParseBudget, the
-#              FLM_CACHE_BUDGET parser; tier-1 replays only the committed
-#              corpora (internal/{sim,runcache}/testdata/fuzz)
+#              disk tier's decoder, runcache.ParseBudget, the
+#              FLM_CACHE_BUDGET parser, and the Dolev piece decoder;
+#              tier-1 replays only the committed corpora
+#              (internal/{sim,runcache,dolev}/testdata/fuzz)
 # verify-race  extended: vet + race-enabled tests; FLM_WORKERS forces the
 #              parallel sweep path so the race detector sees real
 #              concurrency even on single-core runners
@@ -77,6 +78,7 @@ lint:
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRunCodec$$' -fuzztime 10s
 	$(GO) test ./internal/runcache -run '^$$' -fuzz '^FuzzParseBudget$$' -fuzztime 10s
+	$(GO) test ./internal/dolev -run '^$$' -fuzz '^FuzzDecodePiece$$' -fuzztime 10s
 
 verify-race: verify
 	$(GO) vet ./...

@@ -72,17 +72,13 @@ func chaosClockParams() clocksync.Params {
 // randomized.
 func liarScript(g *graph.Graph, liar string, seed int64, until int64) []timedsim.ScriptedSend {
 	rng := rand.New(rand.NewSource(seed))
-	u := g.MustIndex(liar)
-	var nbs []string
-	for _, v := range g.Neighbors(u) {
-		nbs = append(nbs, g.Name(v))
-	}
+	slots := g.Slots(g.MustIndex(liar))
 	var script []timedsim.ScriptedSend
 	for t := int64(0); t <= until; t++ {
-		for _, nb := range nbs {
+		for _, slot := range slots {
 			val := rng.Int63n(2_000_001) - 1_000_000
 			script = append(script, timedsim.ScriptedSend{
-				At: big.NewRat(t, 1), To: nb, Payload: strconv.FormatInt(val, 10),
+				At: big.NewRat(t, 1), To: slot, Payload: strconv.FormatInt(val, 10),
 			})
 		}
 	}

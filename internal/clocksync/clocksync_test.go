@@ -224,7 +224,7 @@ func TestDeviceSnapshots(t *testing.T) {
 	} {
 		d := b("a", []string{"b", "c"})
 		d.Init("a", []string{"b", "c"})
-		d.Tick(0, big.NewRat(0, 1), nil)
+		d.Tick(0, big.NewRat(0, 1), nil, make([]string, 2))
 		if d.Snapshot() == "" {
 			t.Errorf("%s: empty snapshot", name)
 		}

@@ -10,7 +10,6 @@ package clocksync
 import (
 	"fmt"
 	"math/big"
-	"sort"
 
 	"flm/internal/clockfn"
 	"flm/internal/timedsim"
@@ -23,17 +22,6 @@ type Builder func(self string, neighbors []string) timedsim.Device
 // never mutated: big.Rat.Quo only reads its operand's storage, so sharing
 // it across concurrently ticking devices is safe.
 var ratTwo = big.NewRat(2, 1)
-
-// sortedNeighbors copies and sorts a neighbor list, skipping the sort
-// when the caller already handed it over in order (the common case:
-// devices are re-Init'd with pre-sorted lists on every trial).
-func sortedNeighbors(neighbors []string) []string {
-	out := append([]string(nil), neighbors...)
-	if !sort.StringsAreSorted(out) {
-		sort.Strings(out)
-	}
-	return out
-}
 
 // trivialDevice runs its logical clock at the lower envelope of its
 // hardware clock: C(t) = l(D(t)). The paper proves this no-communication
@@ -54,9 +42,7 @@ func NewTrivialLower(l clockfn.Fn) Builder {
 
 func (d *trivialDevice) Init(self string, neighbors []string) {}
 
-func (d *trivialDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timedsim.Send {
-	return nil
-}
+func (d *trivialDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out []string) {}
 
 func (d *trivialDevice) Logical(hw *big.Rat) float64 {
 	f, _ := hw.Float64()
@@ -72,14 +58,11 @@ func (d *trivialDevice) Snapshot() string { return "trivial" }
 // the ring each node believes its predecessor is ahead, and the
 // accumulated lead blows through the upper envelope.
 type chaseDevice struct {
-	self  string
-	nbs   []string
 	l     clockfn.Fn
 	ahead *big.Rat
 	tmp   big.Rat // per-message parse/lead scratch
 	eff   big.Rat // corrected-reading scratch
 	scr   clockfn.RatScratch
-	out   []timedsim.Send // reused outbox (consumed before the next Tick)
 }
 
 var _ timedsim.Device = (*chaseDevice)(nil)
@@ -87,19 +70,15 @@ var _ timedsim.Device = (*chaseDevice)(nil)
 // NewChaseMax returns a builder for chase-the-fastest devices.
 func NewChaseMax(l clockfn.Fn) Builder {
 	return func(self string, neighbors []string) timedsim.Device {
-		d := &chaseDevice{l: l}
-		d.Init(self, neighbors)
-		return d
+		return &chaseDevice{l: l}
 	}
 }
 
 func (d *chaseDevice) Init(self string, neighbors []string) {
-	d.self = self
-	d.nbs = sortedNeighbors(neighbors)
 	d.ahead = new(big.Rat)
 }
 
-func (d *chaseDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timedsim.Send {
+func (d *chaseDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out []string) {
 	for _, m := range inbox {
 		reported, ok := d.tmp.SetString(m.Payload)
 		if !ok {
@@ -114,13 +93,7 @@ func (d *chaseDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timed
 		}
 	}
 	d.eff.Add(hw, d.ahead)
-	payload := d.eff.RatString() // one encoding shared by every neighbor
-	out := d.out[:0]
-	for _, nb := range d.nbs {
-		out = append(out, timedsim.Send{To: nb, Payload: payload})
-	}
-	d.out = out
-	return out
+	broadcast(out, d.eff.RatString())
 }
 
 func (d *chaseDevice) Logical(hw *big.Rat) float64 {
@@ -133,6 +106,51 @@ func (d *chaseDevice) Snapshot() string {
 	return fmt.Sprintf("chase(ahead=%s)", d.ahead.RatString())
 }
 
+// broadcast sends one payload to every neighbor.
+func broadcast(out []string, payload string) {
+	for i := range out {
+		out[i] = payload
+	}
+}
+
+// readings keeps the last clock reading heard in each neighbor slot;
+// nil means nothing has been heard there yet. The averaging devices
+// share it.
+type readings struct {
+	nbs  []string
+	last []*big.Rat
+	tmp  big.Rat // per-message parse scratch
+}
+
+func (r *readings) init(neighbors []string) {
+	r.nbs = neighbors
+	r.last = make([]*big.Rat, len(neighbors))
+}
+
+// absorb records every parsable reading of the inbox.
+func (r *readings) absorb(inbox []timedsim.Message) {
+	for _, m := range inbox {
+		if reported, ok := r.tmp.SetString(m.Payload); ok {
+			if v := r.last[m.From]; v != nil {
+				v.Set(reported)
+			} else {
+				r.last[m.From] = new(big.Rat).Set(reported)
+			}
+		}
+	}
+}
+
+// snapshot appends "|name=reading" for every neighbor heard, in name
+// order.
+func (r *readings) snapshot(s string) string {
+	for i, v := range r.last {
+		if v != nil {
+			s += "|" + r.nbs[i] + "=" + v.RatString()
+		}
+	}
+	return s
+}
+
 // trimmedDevice is the fault-tolerant variant: it moves its correction
 // halfway toward the MEDIAN of its neighbors' last readings after
 // discarding the f most extreme on each side, so up to f Byzantine
@@ -140,18 +158,14 @@ func (d *chaseDevice) Snapshot() string {
 // adequate graphs this beats the trivial l(q)-l(p) synchronization —
 // which Theorem 8 only forbids on inadequate ones.
 type trimmedDevice struct {
-	self     string
-	nbs      []string
-	l        clockfn.Fn
-	f        int
-	corr     *big.Rat
-	last     map[string]*big.Rat
-	tmp      big.Rat // per-message parse scratch
-	own      big.Rat // corrected-reading scratch
-	adj      big.Rat // correction-step scratch
-	scr      clockfn.RatScratch
-	readings []*big.Rat      // reused per-tick sort buffer
-	out      []timedsim.Send // reused outbox (consumed before the next Tick)
+	readings
+	l      clockfn.Fn
+	f      int
+	corr   *big.Rat
+	own    big.Rat // corrected-reading scratch
+	adj    big.Rat // correction-step scratch
+	scr    clockfn.RatScratch
+	sorted []*big.Rat // reused per-tick sort buffer
 }
 
 var _ timedsim.Device = (*trimmedDevice)(nil)
@@ -160,45 +174,33 @@ var _ timedsim.Device = (*trimmedDevice)(nil)
 // devices tolerating f Byzantine neighbors.
 func NewTrimmedMidpoint(l clockfn.Fn, f int) Builder {
 	return func(self string, neighbors []string) timedsim.Device {
-		d := &trimmedDevice{l: l, f: f}
-		d.Init(self, neighbors)
-		return d
+		return &trimmedDevice{l: l, f: f}
 	}
 }
 
 func (d *trimmedDevice) Init(self string, neighbors []string) {
-	d.self = self
-	d.nbs = sortedNeighbors(neighbors)
+	d.init(neighbors)
 	d.corr = new(big.Rat)
-	d.last = make(map[string]*big.Rat, len(d.nbs))
 }
 
-func (d *trimmedDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timedsim.Send {
-	for _, m := range inbox {
-		if reported, ok := d.tmp.SetString(m.Payload); ok {
-			if v, exists := d.last[m.From]; exists {
-				v.Set(reported)
-			} else {
-				d.last[m.From] = new(big.Rat).Set(reported)
-			}
+func (d *trimmedDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out []string) {
+	d.absorb(inbox)
+	sorted := d.sorted[:0]
+	for _, v := range d.last {
+		if v != nil {
+			sorted = append(sorted, v)
 		}
 	}
-	readings := d.readings[:0]
-	for _, nb := range d.nbs {
-		if v, ok := d.last[nb]; ok {
-			readings = append(readings, v)
-		}
-	}
-	d.readings = readings
-	if len(readings) > 2*d.f {
+	d.sorted = sorted
+	if len(sorted) > 2*d.f {
 		// Stable insertion sort: neighbor fan-in is small and equal
 		// readings yield the same median value either way.
-		for i := 1; i < len(readings); i++ {
-			for j := i; j > 0 && d.scr.Cmp(readings[j], readings[j-1]) < 0; j-- {
-				readings[j], readings[j-1] = readings[j-1], readings[j]
+		for i := 1; i < len(sorted); i++ {
+			for j := i; j > 0 && d.scr.Cmp(sorted[j], sorted[j-1]) < 0; j-- {
+				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 			}
 		}
-		trimmed := readings[d.f : len(readings)-d.f]
+		trimmed := sorted[d.f : len(sorted)-d.f]
 		median := trimmed[len(trimmed)/2]
 		own := d.own.Add(hw, d.corr)
 		adj := d.adj.Sub(median, own)
@@ -206,13 +208,7 @@ func (d *trimmedDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []tim
 		d.corr.Add(d.corr, adj)
 	}
 	d.own.Add(hw, d.corr)
-	payload := d.own.RatString()
-	out := d.out[:0]
-	for _, nb := range d.nbs {
-		out = append(out, timedsim.Send{To: nb, Payload: payload})
-	}
-	d.out = out
-	return out
+	broadcast(out, d.own.RatString())
 }
 
 func (d *trimmedDevice) Logical(hw *big.Rat) float64 {
@@ -222,33 +218,20 @@ func (d *trimmedDevice) Logical(hw *big.Rat) float64 {
 }
 
 func (d *trimmedDevice) Snapshot() string {
-	keys := make([]string, 0, len(d.last))
-	for k := range d.last {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := fmt.Sprintf("trim(f=%d,corr=%s)", d.f, d.corr.RatString())
-	for _, k := range keys {
-		s += "|" + k + "=" + d.last[k].RatString()
-	}
-	return s
+	return d.snapshot(fmt.Sprintf("trim(f=%d,corr=%s)", d.f, d.corr.RatString()))
 }
 
 // midpointDevice averages: it broadcasts its corrected reading each tick
 // and moves its correction halfway toward the midpoint of the extreme
 // neighbor readings.
 type midpointDevice struct {
-	self string
-	nbs  []string
+	readings
 	l    clockfn.Fn
 	corr *big.Rat
-	last map[string]*big.Rat
-	tmp  big.Rat // per-message parse scratch
 	own  big.Rat // corrected-reading scratch
 	mid  big.Rat // midpoint scratch
 	adj  big.Rat // correction-step scratch
 	scr  clockfn.RatScratch
-	out  []timedsim.Send // reused outbox (consumed before the next Tick)
 }
 
 var _ timedsim.Device = (*midpointDevice)(nil)
@@ -256,60 +239,39 @@ var _ timedsim.Device = (*midpointDevice)(nil)
 // NewMidpoint returns a builder for midpoint-averaging devices.
 func NewMidpoint(l clockfn.Fn) Builder {
 	return func(self string, neighbors []string) timedsim.Device {
-		d := &midpointDevice{l: l}
-		d.Init(self, neighbors)
-		return d
+		return &midpointDevice{l: l}
 	}
 }
 
 func (d *midpointDevice) Init(self string, neighbors []string) {
-	d.self = self
-	d.nbs = sortedNeighbors(neighbors)
+	d.init(neighbors)
 	d.corr = new(big.Rat)
-	d.last = make(map[string]*big.Rat, len(d.nbs))
 }
 
-func (d *midpointDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timedsim.Send {
-	for _, m := range inbox {
-		if reported, ok := d.tmp.SetString(m.Payload); ok {
-			if v, exists := d.last[m.From]; exists {
-				v.Set(reported)
-			} else {
-				d.last[m.From] = new(big.Rat).Set(reported)
-			}
+func (d *midpointDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out []string) {
+	d.absorb(inbox)
+	lo, hi := (*big.Rat)(nil), (*big.Rat)(nil)
+	for _, v := range d.last {
+		if v == nil {
+			continue
+		}
+		if lo == nil || d.scr.Cmp(v, lo) < 0 {
+			lo = v
+		}
+		if hi == nil || d.scr.Cmp(v, hi) > 0 {
+			hi = v
 		}
 	}
-	if len(d.last) > 0 {
+	if lo != nil {
 		own := d.own.Add(hw, d.corr)
-		lo, hi := (*big.Rat)(nil), (*big.Rat)(nil)
-		for _, nb := range d.nbs {
-			v, ok := d.last[nb]
-			if !ok {
-				continue
-			}
-			if lo == nil || d.scr.Cmp(v, lo) < 0 {
-				lo = v
-			}
-			if hi == nil || d.scr.Cmp(v, hi) > 0 {
-				hi = v
-			}
-		}
-		if lo != nil {
-			mid := d.mid.Add(lo, hi)
-			mid.Quo(mid, ratTwo)
-			adj := d.adj.Sub(mid, own)
-			adj.Quo(adj, ratTwo)
-			d.corr.Add(d.corr, adj)
-		}
+		mid := d.mid.Add(lo, hi)
+		mid.Quo(mid, ratTwo)
+		adj := d.adj.Sub(mid, own)
+		adj.Quo(adj, ratTwo)
+		d.corr.Add(d.corr, adj)
 	}
 	d.own.Add(hw, d.corr)
-	payload := d.own.RatString()
-	out := d.out[:0]
-	for _, nb := range d.nbs {
-		out = append(out, timedsim.Send{To: nb, Payload: payload})
-	}
-	d.out = out
-	return out
+	broadcast(out, d.own.RatString())
 }
 
 func (d *midpointDevice) Logical(hw *big.Rat) float64 {
@@ -319,14 +281,5 @@ func (d *midpointDevice) Logical(hw *big.Rat) float64 {
 }
 
 func (d *midpointDevice) Snapshot() string {
-	keys := make([]string, 0, len(d.last))
-	for k := range d.last {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := fmt.Sprintf("mid(corr=%s)", d.corr.RatString())
-	for _, k := range keys {
-		s += "|" + k + "=" + d.last[k].RatString()
-	}
-	return s
+	return d.snapshot(fmt.Sprintf("mid(corr=%s)", d.corr.RatString()))
 }

@@ -1,25 +1,21 @@
 package clocksync
 
 import (
-	"fmt"
-	"math/big"
-	"sort"
-
-	"flm/internal/clockfn"
 	"flm/internal/graph"
-	"flm/internal/timedsim"
 )
 
 // This file mechanizes the general cases of Theorem 8 ("the general case
 // of |G| <= 3f is a simple extension of this argument; the connectivity
-// bound also follows easily"):
+// bound also follows easily"). Both run the one Theorem 8 driver of
+// theorem8.go; they differ only in the layout:
 //
 //   - Theorem8Nodes: any graph with n <= 3f nodes, partitioned into
 //     blocks a, b, c of size <= f. The covering is the cyclic
 //     ring-of-blocks (positions ...a_i b_i c_i a_{i+1}...), every node at
 //     ring position j runs hardware clock q∘h⁻ʲ, and each adjacent block
 //     pair (j, j+1), scaled by hʲ, is a correct behavior with clocks q
-//     and p and the third block faulty.
+//     and p and the third block faulty. Theorem8 is this case on the
+//     triangle with singleton blocks.
 //
 //   - Theorem8Connectivity: any graph with a cut {b,d} of size <= 2f
 //     separating u from v. The covering is the cyclic ring of copies
@@ -28,199 +24,6 @@ import (
 //     clocks q) chain each copy internally, and the cross-copy scenarios
 //     Y_i = c_i ∪ d_i ∪ a_{i-1} (scaled by hⁱ⁻¹: a at q, c∪d at p) climb
 //     the induction one copy per step.
-//
-// Both evaluate the agreement and envelope conditions in every scaled
-// scenario at t'' = hᵏ(t') and rely on the Lemma 11 arithmetic for the
-// guaranteed violation; sampled scenarios are re-executed as real runs
-// of G with scripted faulty sets (the generalized Lemma 9 self-check).
-
-// installScaledCover builds the timed system on an arbitrary cover with
-// hardware clock q∘h^(-position[s]) at each S-node s. The inverse
-// iterates come from the precomputed table (iters[i] = h⁻ⁱ), so the
-// install is linear in the cover size rather than quadratic.
-func installScaledCover(cover *graph.Cover, params Params, builders map[string]Builder, iters []clockfn.RatLinear, position []int) (*timedsim.System, error) {
-	if err := cover.Verify(); err != nil {
-		return nil, err
-	}
-	s, g := cover.S, cover.G
-	if len(position) != s.N() {
-		return nil, fmt.Errorf("clocksync: %d positions for %d S-nodes", len(position), s.N())
-	}
-	nodes := make([]timedsim.Node, s.N())
-	for i := 0; i < s.N(); i++ {
-		gName := g.Name(cover.Phi[i])
-		b, ok := builders[gName]
-		if !ok {
-			return nil, fmt.Errorf("clocksync: no builder for G-node %q", gName)
-		}
-		toG := make(map[string]string, s.Degree(i))
-		toS := make(map[string]string, s.Degree(i))
-		for _, nb := range s.Neighbors(i) {
-			toG[s.Name(nb)] = g.Name(cover.Phi[nb])
-			toS[g.Name(cover.Phi[nb])] = s.Name(nb)
-		}
-		gNeighbors := make([]string, 0, len(toS))
-		for gNb := range toS {
-			gNeighbors = append(gNeighbors, gNb)
-		}
-		sort.Strings(gNeighbors)
-		inner := b(gName, gNeighbors)
-		inner.Init(gName, gNeighbors)
-		nodes[i] = timedsim.Node{
-			Device: timedsim.Renamed(inner, toG, toS),
-			Clock:  params.Q.ComposeRat(iters[position[i]]),
-		}
-	}
-	return &timedsim.System{G: s, Nodes: nodes, Delta: params.Delta}, nil
-}
-
-// scaledScenario is one correct-behavior claim: the S-nodes in U form,
-// after scaling by h^scale, a correct behavior of G with the remaining
-// G-nodes faulty.
-type scaledScenario struct {
-	name  string
-	u     []int
-	scale int
-}
-
-// checkScaledScenario is the generalized Lemma 9 self-check: re-execute
-// the scenario as a real G-system (correct devices with their scaled
-// clocks, every other node a scripted sender replaying the scaled border
-// traffic) and require tick-for-tick agreement with the covering run.
-func checkScaledScenario(cover *graph.Cover, params Params, builders map[string]Builder, h clockfn.RatLinear, iters []clockfn.RatLinear, position []int, runS *timedsim.Run, sc scaledScenario, tSecond *big.Rat) error {
-	s, g := cover.S, cover.G
-	if err := cover.InducedIsomorphic(sc.u); err != nil {
-		return err
-	}
-	// Private copy of the shared iterate: scratch comparators decompose
-	// Rate/Off in place, and iters may be shared with concurrent cells.
-	scaleFn := clockfn.RatLinear{
-		Rate: new(big.Rat).Set(iters[sc.scale].Rate),
-		Off:  new(big.Rat).Set(iters[sc.scale].Off),
-	}
-	var scr clockfn.RatScratch
-	correct := make(map[int]int, len(sc.u)) // G-node -> S preimage
-	for _, sn := range sc.u {
-		correct[cover.Phi[sn]] = sn
-	}
-	nodes := make([]timedsim.Node, g.N())
-	for gn := 0; gn < g.N(); gn++ {
-		gName := g.Name(gn)
-		if sn, ok := correct[gn]; ok {
-			// The scaled clock law: (q h^-pos) ∘ h^scale; the exponent is
-			// always <= 0 in the node and connectivity scenarios, so it
-			// resolves through the iterate table.
-			var law clockfn.RatLinear
-			if e := sc.scale - position[sn]; e <= 0 && -e < len(iters) {
-				law = iters[-e]
-			} else {
-				law = h.IterateRat(e)
-			}
-			dev := builders[gName](gName, gNeighborNames(g, gn))
-			dev.Init(gName, gNeighborNames(g, gn))
-			nodes[gn] = timedsim.Node{
-				Device: dev,
-				Clock:  params.Q.ComposeRat(law),
-			}
-			continue
-		}
-		// Faulty node: script the scaled border sends toward each correct
-		// neighbor. Per-edge send lists are time-ordered and scaling
-		// preserves order, so fold-merging them reproduces the stable
-		// sort of their concatenation.
-		var script []timedsim.ScriptedSend
-		for _, gv := range g.Neighbors(gn) {
-			sn, ok := correct[gv]
-			if !ok {
-				continue
-			}
-			pre := cover.EdgePreimage(sn, gn)
-			recs := runS.Sends[graph.Edge{From: s.Name(pre), To: s.Name(sn)}]
-			edge := make([]timedsim.ScriptedSend, 0, len(recs))
-			for _, rec := range recs {
-				edge = append(edge, timedsim.ScriptedSend{
-					At: scaleFn.At(rec.At), To: g.Name(gv), Payload: rec.Payload,
-				})
-			}
-			script = mergeScript(&scr, script, edge)
-		}
-		nodes[gn] = timedsim.Node{Script: script, Clock: params.Q}
-	}
-	until := scaleFn.At(tSecond)
-	runG, err := timedsim.Execute(&timedsim.System{G: g, Nodes: nodes, Delta: params.Delta}, until)
-	if err != nil {
-		return err
-	}
-	for _, sn := range sc.u {
-		gName := g.Name(cover.Phi[sn])
-		ringTicks := runS.Ticks[sn]
-		gTicks, err := runG.TicksOf(gName)
-		if err != nil {
-			return err
-		}
-		if len(ringTicks) != len(gTicks) {
-			return fmt.Errorf("%s: node %s: %d covering ticks vs %d spliced ticks",
-				sc.name, gName, len(ringTicks), len(gTicks))
-		}
-		for j := range ringTicks {
-			rt, gt := ringTicks[j], gTicks[j]
-			if scr.CmpAt(scaleFn, rt.Time, gt.Time) != 0 {
-				return fmt.Errorf("%s: node %s tick %d: scaled time %s != %s",
-					sc.name, gName, j, scaleFn.At(rt.Time).RatString(), gt.Time.RatString())
-			}
-			if rt.Snapshot != gt.Snapshot {
-				return fmt.Errorf("%s: node %s tick %d: snapshots differ", sc.name, gName, j)
-			}
-		}
-	}
-	return nil
-}
-
-func gNeighborNames(g *graph.Graph, u int) []string {
-	var out []string
-	for _, v := range g.Neighbors(u) {
-		out = append(out, g.Name(v))
-	}
-	return sortedStrings(out)
-}
-
-// evaluateScaledScenarios applies the agreement and envelope conditions
-// to every scenario at its scaled time and collects violations.
-func evaluateScaledScenarios(params Params, iters []clockfn.RatLinear, run *timedsim.Run, scenarios []scaledScenario, tSecond *big.Rat) []Violation {
-	const tol = 1e-9
-	pf, qf := params.P.Float(), params.Q.Float()
-	var violations []Violation
-	for _, sc := range scenarios {
-		tau := iters[sc.scale].At(tSecond)
-		tauF, _ := tau.Float64()
-		bound := params.L.At(qf.At(tauF)) - params.L.At(pf.At(tauF)) - params.Alpha
-		loEnv, hiEnv := params.L.At(pf.At(tauF)), params.U.At(qf.At(tauF))
-		for ai, a := range sc.u {
-			ca := run.FinalLogical[a]
-			if ca < loEnv-tol || ca > hiEnv+tol {
-				violations = append(violations, Violation{
-					Scenario: sc.name, Condition: "envelope",
-					Detail: fmt.Sprintf("C(%s) = %.6f outside [%.6f, %.6f] at scaled time %.6f",
-						run.G.Name(a), ca, loEnv, hiEnv, tauF),
-				})
-			}
-			for _, b := range sc.u[ai+1:] {
-				gap := ca - run.FinalLogical[b]
-				if gap < 0 {
-					gap = -gap
-				}
-				if gap > bound+tol {
-					violations = append(violations, Violation{
-						Scenario: sc.name, Condition: "agreement",
-						Detail: fmt.Sprintf("|C(%s) - C(%s)| = %.6f > %.6f at scaled time %.6f",
-							run.G.Name(a), run.G.Name(b), gap, bound, tauF),
-					})
-				}
-			}
-		}
-	}
-	return violations
-}
 
 // Theorem8Nodes mechanizes the general node bound of Theorem 8.
 func Theorem8Nodes(params Params, g *graph.Graph, aSet, bSet, cSet []int, f int, builders map[string]Builder) (*Result, error) {
@@ -228,51 +31,11 @@ func Theorem8Nodes(params Params, g *graph.Graph, aSet, bSet, cSet []int, f int,
 	if err != nil {
 		return nil, err
 	}
-	k, err := params.ChooseK()
+	prep, err := prepareTheorem8(params, func(k int) *scaledLayout { return blockRingLayout(p, k) })
 	if err != nil {
 		return nil, err
 	}
-	ring := p.BlockRing(k + 2) // k+2 ring positions, divisible by 3
-	h := params.H()
-	iters := clockfn.Iterates(h, -1, k+1)
-	sys, err := installScaledCover(ring.Cover, params, builders, iters, ring.Position)
-	if err != nil {
-		return nil, err
-	}
-	tSecond := h.IterateRat(k).At(params.TPrime)
-	if err := guardTicks(params, tSecond, k); err != nil {
-		return nil, err
-	}
-	run, err := timedsim.Execute(sys, tSecond)
-	if err != nil {
-		return nil, err
-	}
-	// Scenario pairs (position j, j+1) for j = 0..k, scaled by h^j.
-	var scenarios []scaledScenario
-	for j := 0; j <= k; j++ {
-		scenarios = append(scenarios, scaledScenario{
-			name:  fmt.Sprintf("S%d", j),
-			u:     append(append([]int(nil), ring.Members[j]...), ring.Members[j+1]...),
-			scale: j,
-		})
-	}
-	res := &Result{
-		Params:  params,
-		K:       k,
-		TSecond: tSecond,
-		Logical: append([]float64(nil), run.FinalLogical...),
-		Run:     run,
-	}
-	for _, idx := range sampleScenarios(k) {
-		if err := checkScaledScenario(ring.Cover, params, builders, h, iters, ring.Position, run, scenarios[idx], tSecond); err != nil {
-			return nil, fmt.Errorf("clocksync: Lemma 9 self-check failed: %w", err)
-		}
-	}
-	res.Violations = evaluateScaledScenarios(params, iters, run, scenarios, tSecond)
-	if !res.Contradicted() {
-		return res, fmt.Errorf("clocksync: no condition violated in the general node case — impossible:\n%s", res)
-	}
-	return res, nil
+	return prep.run(builders)
 }
 
 // Theorem8Connectivity mechanizes the connectivity bound of Theorem 8.
@@ -281,65 +44,9 @@ func Theorem8Connectivity(params Params, g *graph.Graph, bSet, dSet []int, uNode
 	if err != nil {
 		return nil, err
 	}
-	k, err := params.ChooseK()
+	prep, err := prepareTheorem8(params, func(k int) *scaledLayout { return cutLayout(cut, k) })
 	if err != nil {
 		return nil, err
 	}
-	copies := k + 2
-	cover := cut.Cover(copies)
-	n := g.N()
-	position := make([]int, cover.S.N())
-	for i := range position {
-		position[i] = i / n // all nodes of copy i share the clock q∘h⁻ⁱ
-	}
-	h := params.H()
-	iters := clockfn.Iterates(h, -1, copies-1)
-	sys, err := installScaledCover(cover, params, builders, iters, position)
-	if err != nil {
-		return nil, err
-	}
-	tSecond := h.IterateRat(k).At(params.TPrime)
-	if err := guardTicks(params, tSecond, k); err != nil {
-		return nil, err
-	}
-	run, err := timedsim.Execute(sys, tSecond)
-	if err != nil {
-		return nil, err
-	}
-	// X_i (copy i without d) is scaled by h^i: all clocks q. Y_i
-	// (c_i ∪ d_i ∪ a_(i-1)) is scaled by h^(i-1): a at q, c ∪ d at p.
-	var scenarios []scaledScenario
-	for i := 0; i <= k; i++ {
-		x, y := cut.Scenarios(i, copies)
-		scenarios = append(scenarios, scaledScenario{name: fmt.Sprintf("X%d", i), u: x, scale: i})
-		if i >= 1 {
-			scenarios = append(scenarios, scaledScenario{name: fmt.Sprintf("Y%d", i), u: y, scale: i - 1})
-		}
-	}
-	res := &Result{
-		Params:  params,
-		K:       k,
-		TSecond: tSecond,
-		Logical: append([]float64(nil), run.FinalLogical...),
-		Run:     run,
-	}
-	for _, idx := range sampleScenarios(len(scenarios) - 2) {
-		if err := checkScaledScenario(cover, params, builders, h, iters, position, run, scenarios[idx], tSecond); err != nil {
-			return nil, fmt.Errorf("clocksync: Lemma 9 self-check failed: %w", err)
-		}
-	}
-	res.Violations = evaluateScaledScenarios(params, iters, run, scenarios, tSecond)
-	if !res.Contradicted() {
-		return res, fmt.Errorf("clocksync: no condition violated in the connectivity case — impossible:\n%s", res)
-	}
-	return res, nil
-}
-
-// guardTicks rejects parameter choices whose simulation would be huge.
-func guardTicks(params Params, tSecond *big.Rat, k int) error {
-	ticksEstimate := new(big.Rat).Quo(params.Q.At(tSecond), params.Delta)
-	if est, _ := ticksEstimate.Float64(); est > 5e5 {
-		return fmt.Errorf("clocksync: parameters need ~%.0f ticks (k=%d); increase alpha or tighten the envelopes", est, k)
-	}
-	return nil
+	return prep.run(builders)
 }

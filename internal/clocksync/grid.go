@@ -46,14 +46,14 @@ func EvalGrid(cases []GridCase, devices []GridDevice) ([][]*Result, error) {
 	}
 	out, err := sweep.Grouped(sizes,
 		func(c int) prepOutcome {
-			prep, err := prepareTheorem8(cases[c].Params)
+			prep, err := prepareTriangle(cases[c].Params)
 			return prepOutcome{prep: prep, err: err}
 		},
 		func(c, d int, p prepOutcome) (*Result, error) {
 			if p.err != nil {
 				return nil, fmt.Errorf("%s / %s: %w", cases[c].Name, devices[d].Name, p.err)
 			}
-			r, err := runTheorem8(p.prep, devices[d].Builders(cases[c].Params))
+			r, err := runTriangle(p.prep, devices[d].Builders(cases[c].Params))
 			if err != nil {
 				return nil, fmt.Errorf("%s / %s: %w", cases[c].Name, devices[d].Name, err)
 			}

@@ -30,6 +30,7 @@ func MeasureAdequateSync(params Params, g *graph.Graph, clocks []clockfn.RatLine
 	if len(clocks) != g.N() {
 		return nil, fmt.Errorf("clocksync: %d clocks for %d nodes", len(clocks), g.N())
 	}
+	ports := g.Ports()
 	out := make([]AdequateSyncSample, 0, len(samples))
 	for _, until := range samples {
 		nodes := make([]timedsim.Node, g.N())
@@ -43,12 +44,11 @@ func MeasureAdequateSync(params Params, g *graph.Graph, clocks []clockfn.RatLine
 			if !ok {
 				return nil, fmt.Errorf("clocksync: no builder for node %q", name)
 			}
-			var nbs []string
-			for _, v := range g.Neighbors(u) {
-				nbs = append(nbs, g.Name(v))
+			nbs := make([]string, len(ports.Nbrs[u]))
+			for i, v := range ports.Nbrs[u] {
+				nbs[i] = g.Name(v)
 			}
-			dev := b(name, nbs)
-			nodes[u] = timedsim.Node{Device: dev, Clock: clocks[u]}
+			nodes[u] = timedsim.Node{Device: b(name, nbs), Clock: clocks[u]}
 		}
 		run, err := timedsim.Execute(&timedsim.System{G: g, Nodes: nodes, Delta: params.Delta}, until)
 		if err != nil {
@@ -84,22 +84,18 @@ func MeasureAdequateSync(params Params, g *graph.Graph, clocks []clockfn.RatLine
 
 // ClockLiarScript fabricates wildly inconsistent clock readings: at each
 // integer time step it sends a huge value to one neighbor and a tiny one
-// to the next, rotating through the neighbor list.
+// to the next, rotating through the neighbors in index order.
 func ClockLiarScript(g *graph.Graph, liar string, until int64) []timedsim.ScriptedSend {
-	u := g.MustIndex(liar)
-	var nbs []string
-	for _, v := range g.Neighbors(u) {
-		nbs = append(nbs, g.Name(v))
-	}
+	slots := g.Slots(g.MustIndex(liar))
 	var script []timedsim.ScriptedSend
 	for t := int64(0); t <= until; t++ {
-		for i, nb := range nbs {
+		for i, slot := range slots {
 			payload := "1000000"
 			if (int(t)+i)%2 == 0 {
 				payload = "-1000000"
 			}
 			script = append(script, timedsim.ScriptedSend{
-				At: big.NewRat(t, 1), To: nb, Payload: payload,
+				At: big.NewRat(t, 1), To: slot, Payload: payload,
 			})
 		}
 	}

@@ -3,7 +3,6 @@ package clocksync
 import (
 	"fmt"
 	"math/big"
-	"sort"
 	"strings"
 
 	"flm/internal/clockfn"
@@ -92,40 +91,129 @@ func (p Params) ChooseK() (int, error) {
 func (p Params) H() clockfn.RatLinear { return p.P.InverseRat().ComposeRat(p.Q) }
 
 // theorem8Prep is everything a Theorem 8 run needs that depends only on
-// the Params, not on the devices: the induction length, the verified ring
-// cover, h = p⁻¹∘q, the table of its inverse iterates, and t”. Grid
-// sweeps (EvalGrid) build one prep per parameter case and share it across
-// every device cell; the prep is read-only during runs, and every
-// rational it holds is treated as immutable (scratch comparators copy
-// before decomposing, since big.Rat lazily materializes denominators in
-// place).
+// the Params and the layout, not on the devices: the induction length,
+// the verified cover with its scaled scenarios, the table of h's inverse
+// iterates, and t”. Grid sweeps (EvalGrid) build one prep per parameter
+// case and share it across every device cell; the prep is read-only
+// during runs, and every rational it holds is treated as immutable
+// (scratch comparators copy before decomposing, since big.Rat lazily
+// materializes denominators in place).
 type theorem8Prep struct {
 	params  Params
 	k       int
-	cover   *graph.Cover
-	h       clockfn.RatLinear
+	layout  *scaledLayout
 	iters   []clockfn.RatLinear // iters[i] = h⁻ⁱ, i = 0..k+1
 	tSecond *big.Rat            // t'' = hᵏ(t')
 }
 
+// scaledLayout is a covering of G laid out for the scaled argument.
+// S-node s runs hardware clock q∘h^(-position[s]); each scenario's
+// S-nodes, scaled by h^scale, form a correct behavior of G with clocks
+// q and p.
+type scaledLayout struct {
+	cover          *graph.Cover
+	sPorts, gPorts graph.Ports
+	gNbs           [][]string // gNbs[v]: G-node v's neighbor names, in slot order
+	position       []int
+	scenarios      []scaledScenario
+	checks         []int // the scenarios the self-check re-executes
+}
+
+// scaledScenario is one correct-behavior claim: the S-nodes in u form,
+// after scaling by h^scale, a correct behavior of G with the remaining
+// G-nodes faulty.
+type scaledScenario struct {
+	name  string
+	u     []int
+	scale int
+}
+
+func newScaledLayout(cover *graph.Cover, position []int, scenarios []scaledScenario, checks []int) *scaledLayout {
+	g := cover.G
+	lay := &scaledLayout{cover: cover, sPorts: cover.S.Ports(), gPorts: g.Ports(),
+		gNbs: make([][]string, g.N()), position: position, scenarios: scenarios, checks: checks}
+	for v, nbs := range lay.gPorts.Nbrs {
+		for _, w := range nbs {
+			lay.gNbs[v] = append(lay.gNbs[v], g.Name(w))
+		}
+	}
+	return lay
+}
+
+// blockRingLayout is the node-bound layout: the ring of k+2 block
+// positions, with scenario S_j the blocks at positions j and j+1, scaled
+// by hʲ.
+func blockRingLayout(p *graph.Partition, k int) *scaledLayout {
+	ring := p.BlockRing(k + 2)
+	scenarios := make([]scaledScenario, 0, k+1)
+	for j := 0; j <= k; j++ {
+		scenarios = append(scenarios, scaledScenario{
+			name:  fmt.Sprintf("S%d", j),
+			u:     append(append([]int(nil), ring.Members[j]...), ring.Members[j+1]...),
+			scale: j,
+		})
+	}
+	return newScaledLayout(ring.Cover, ring.Position, scenarios, sampleScenarios(k))
+}
+
+// cutLayout is the connectivity layout: the ring of k+2 copies with the
+// a-d edges crossed, every node of copy i on clock q∘h⁻ⁱ. X_i (copy i
+// without d) is scaled by hⁱ: all clocks q. Y_i (c_i ∪ d_i ∪ a_(i-1))
+// is scaled by hⁱ⁻¹: a at q, c ∪ d at p.
+func cutLayout(cut *graph.Cut, k int) *scaledLayout {
+	copies := k + 2
+	cover := cut.Cover(copies)
+	n := cut.G.N()
+	position := make([]int, cover.S.N())
+	for i := range position {
+		position[i] = i / n
+	}
+	var scenarios []scaledScenario
+	for i := 0; i <= k; i++ {
+		x, y := cut.Scenarios(i, copies)
+		scenarios = append(scenarios, scaledScenario{name: fmt.Sprintf("X%d", i), u: x, scale: i})
+		if i >= 1 {
+			scenarios = append(scenarios, scaledScenario{name: fmt.Sprintf("Y%d", i), u: y, scale: i - 1})
+		}
+	}
+	return newScaledLayout(cover, position, scenarios, sampleScenarios(len(scenarios)-2))
+}
+
 // prepareTheorem8 does the device-independent setup of the Theorem 8
-// argument. Ring construction, cover verification, and the O(k) iterate
-// table replace the O(k²) per-scenario IterateRat calls of the direct
-// formulation.
-func prepareTheorem8(params Params) (*theorem8Prep, error) {
+// argument for the layout that layoutFor builds for the induction
+// length. The O(k) iterate table replaces O(k²) per-scenario IterateRat
+// calls.
+func prepareTheorem8(params Params, layoutFor func(k int) *scaledLayout) (*theorem8Prep, error) {
 	k, err := params.ChooseK()
 	if err != nil {
 		return nil, err
 	}
-	size := k + 2
-	cover := graph.RingCoverTriangle(size)
-	if err := cover.Verify(); err != nil {
+	h := params.H()
+	tSecond := h.IterateRat(k).At(params.TPrime)
+	// The fastest node experiences q(t'') of hardware time, i.e. about
+	// q(hᵏ(t'))/Δ ticks — exponential in k for rate-scaled clocks. Guard
+	// against parameter choices that would take hours to simulate; a
+	// larger alpha (or tighter envelopes) shrinks k.
+	ticksEstimate := new(big.Rat).Quo(params.Q.At(tSecond), params.Delta)
+	if est, _ := ticksEstimate.Float64(); est > 5e5 {
+		return nil, fmt.Errorf("clocksync: parameters need ~%.0f ticks (k=%d, t''=%s); increase alpha or tighten the envelopes",
+			est, k, tSecond.RatString())
+	}
+	layout := layoutFor(k)
+	if err := layout.cover.Verify(); err != nil {
 		return nil, err
 	}
-	h := params.H()
-	iters := clockfn.Iterates(h, -1, size-1)
-	tSecond := h.IterateRat(k).At(params.TPrime)
-	return &theorem8Prep{params: params, k: k, cover: cover, h: h, iters: iters, tSecond: tSecond}, nil
+	return &theorem8Prep{params: params, k: k, layout: layout, iters: clockfn.Iterates(h, -1, k+1), tSecond: tSecond}, nil
+}
+
+// prepareTriangle prepares Theorem 8 on the triangle: the block ring of
+// singleton blocks, which is the (k+2)-ring of the paper.
+func prepareTriangle(params Params) (*theorem8Prep, error) {
+	p, err := graph.NewPartition(graph.Triangle(), 1, []int{0}, []int{1}, []int{2})
+	if err != nil {
+		return nil, err
+	}
+	return prepareTheorem8(params, func(k int) *scaledLayout { return blockRingLayout(p, k) })
 }
 
 // Theorem8 mechanizes the clock synchronization impossibility on the
@@ -137,89 +225,56 @@ func prepareTheorem8(params Params) (*theorem8Prep, error) {
 // Lemma 11's arithmetic makes them jointly unsatisfiable, so at least one
 // recorded violation is guaranteed for any devices whatsoever.
 func Theorem8(params Params, builders map[string]Builder) (*Result, error) {
-	prep, err := prepareTheorem8(params)
+	prep, err := prepareTriangle(params)
 	if err != nil {
 		return nil, err
 	}
-	return runTheorem8(prep, builders)
+	return runTriangle(prep, builders)
 }
 
-// runTheorem8 is the device-dependent half: install the panel on the
-// prepared ring, execute, self-check, and evaluate the conditions. Safe
-// to call concurrently with the same prep.
-func runTheorem8(prep *theorem8Prep, builders map[string]Builder) (*Result, error) {
-	params, k, tSecond := prep.params, prep.k, prep.tSecond
-	size := k + 2
-	sys, err := installRing(prep.cover, params, builders, prep.iters)
+// runTriangle runs a prepared triangle argument and adds the Lemma 11
+// floors: C_(i+1)(t”) >= l(q h^-(i+1)(t”)) + iα, and q∘h⁻¹ = p, so the
+// floor of ring node i+1 is l(p(τ_i)) + iα with τ_i = h⁻ⁱ(t”). Ring
+// node i is S-node i of the singleton block ring.
+func runTriangle(prep *theorem8Prep, builders map[string]Builder) (*Result, error) {
+	res, err := prep.run(builders)
+	if res != nil {
+		pf := prep.params.P.Float()
+		res.Floors = make([]float64, prep.k+2)
+		for i := 0; i <= prep.k; i++ {
+			tau, _ := prep.iters[i].At(prep.tSecond).Float64()
+			res.Floors[i+1] = prep.params.L.At(pf.At(tau)) + float64(i)*prep.params.Alpha
+		}
+	}
+	return res, err
+}
+
+// run is the device-dependent half of every Theorem 8 case: install the
+// devices on the prepared cover, execute to t”, self-check the sampled
+// scenarios, and evaluate the conditions. Safe to call concurrently with
+// the same prep.
+func (p *theorem8Prep) run(builders map[string]Builder) (*Result, error) {
+	sys, err := p.install(builders)
 	if err != nil {
 		return nil, err
 	}
-	// The fastest node experiences q(t'') of hardware time, i.e. about
-	// q(hᵏ(t'))/Δ ticks — exponential in k for rate-scaled clocks. Guard
-	// against parameter choices that would take hours to simulate; a
-	// larger alpha (or tighter envelopes) shrinks k.
-	ticksEstimate := new(big.Rat).Quo(params.Q.At(tSecond), params.Delta)
-	if est, _ := ticksEstimate.Float64(); est > 5e5 {
-		return nil, fmt.Errorf("clocksync: parameters need ~%.0f ticks (k=%d, t''=%s); increase alpha or tighten the envelopes",
-			est, k, tSecond.RatString())
-	}
-	run, err := timedsim.Execute(sys, tSecond)
+	run, err := timedsim.Execute(sys, p.tSecond)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Params:  params,
-		K:       k,
-		TSecond: tSecond,
+		Params:  p.params,
+		K:       p.k,
+		TSecond: p.tSecond,
 		Logical: append([]float64(nil), run.FinalLogical...),
 		Run:     run,
 	}
-	// Lemma 9/Scaling self-check on a sample of scenarios: the scaled
-	// pair must replay as two correct nodes of the triangle.
-	for _, i := range sampleScenarios(k) {
-		if err := checkLemma9(prep.cover, params, builders, prep.iters, run, i, tSecond); err != nil {
-			return nil, fmt.Errorf("clocksync: Lemma 9 self-check failed for S%d: %w", i, err)
+	for _, i := range p.layout.checks {
+		if err := p.check(builders, run, p.layout.scenarios[i]); err != nil {
+			return nil, fmt.Errorf("clocksync: Lemma 9 self-check failed: %w", err)
 		}
 	}
-	// Condition evaluation per scaled scenario.
-	const tol = 1e-9
-	lF := params.L
-	uF := params.U
-	pf, qf := params.P.Float(), params.Q.Float()
-	res.Floors = make([]float64, size)
-	for i := 0; i <= k; i++ {
-		tau := prep.iters[i].At(tSecond)
-		tauF, _ := tau.Float64()
-		scen := fmt.Sprintf("S%d", i)
-		bound := lF.At(qf.At(tauF)) - lF.At(pf.At(tauF)) - params.Alpha
-		gap := res.Logical[i+1] - res.Logical[i]
-		if gap < 0 {
-			gap = -gap
-		}
-		if gap > bound+tol {
-			res.Violations = append(res.Violations, Violation{
-				Scenario: scen, Condition: "agreement",
-				Detail: fmt.Sprintf("|C_%d - C_%d| = %.6f > l(q)-l(p)-α = %.6f at scaled time %.6f",
-					i+1, i, gap, bound, tauF),
-			})
-		}
-		loEnv, hiEnv := lF.At(pf.At(tauF)), uF.At(qf.At(tauF))
-		for _, node := range []int{i, i + 1} {
-			c := res.Logical[node]
-			if c < loEnv-tol || c > hiEnv+tol {
-				res.Violations = append(res.Violations, Violation{
-					Scenario: scen, Condition: "envelope",
-					Detail: fmt.Sprintf("C_%d = %.6f outside [l(p)=%.6f, u(q)=%.6f] at scaled time %.6f",
-						node, c, loEnv, hiEnv, tauF),
-				})
-			}
-		}
-		if i+1 < size {
-			// Lemma 11: C_{i+1}(t'') >= l(q h^{-(i+1)}(t'')) + i*α, and
-			// q∘h⁻¹ = p, so the floor is l(p(τ_i)) + i*α.
-			res.Floors[i+1] = lF.At(pf.At(tauF)) + float64(i)*params.Alpha
-		}
-	}
+	res.Violations = p.evaluate(run)
 	if !res.Contradicted() {
 		return res, fmt.Errorf("clocksync: no condition violated — impossible by Lemma 11:\n%s", res)
 	}
@@ -240,156 +295,209 @@ func sampleScenarios(k int) []int {
 	return []int{0, k / 2, k}
 }
 
-// installRing builds the timed system on the ring cover: node i runs the
-// device of its triangle image (renamed) with hardware clock q∘h⁻ⁱ,
-// taken from the prepared iterate table (iters[i] = h⁻ⁱ). The cover was
-// verified by prepareTheorem8.
-func installRing(cover *graph.Cover, params Params, builders map[string]Builder, iters []clockfn.RatLinear) (*timedsim.System, error) {
-	s, g := cover.S, cover.G
+// install builds the timed system on the cover: every S-node runs the
+// device of its G-image, renamed through the cover's slot permutation,
+// with hardware clock q∘h^(-position).
+func (p *theorem8Prep) install(builders map[string]Builder) (*timedsim.System, error) {
+	lay := p.layout
+	s, g := lay.cover.S, lay.cover.G
 	nodes := make([]timedsim.Node, s.N())
-	for i := 0; i < s.N(); i++ {
-		gName := g.Name(cover.Phi[i])
-		b, ok := builders[gName]
+	for sn := range nodes {
+		gn := lay.cover.Phi[sn]
+		b, ok := builders[g.Name(gn)]
 		if !ok {
-			return nil, fmt.Errorf("clocksync: no builder for triangle node %q", gName)
+			return nil, fmt.Errorf("clocksync: no builder for G-node %q", g.Name(gn))
 		}
-		toG := make(map[string]string, s.Degree(i))
-		toS := make(map[string]string, s.Degree(i))
-		for _, nb := range s.Neighbors(i) {
-			toG[s.Name(nb)] = g.Name(cover.Phi[nb])
-			toS[g.Name(cover.Phi[nb])] = s.Name(nb)
-		}
-		gNeighbors := make([]string, 0, len(toS))
-		for gNb := range toS {
-			gNeighbors = append(gNeighbors, gNb)
-		}
-		sort.Strings(gNeighbors)
-		inner := b(gName, gNeighbors)
-		inner.Init(gName, gNeighbors)
-		nodes[i] = timedsim.Node{
-			Device: timedsim.Renamed(inner, toG, toS),
-			Clock:  params.Q.ComposeRat(iters[i]),
+		nodes[sn] = timedsim.Node{
+			Device: &renamedDevice{
+				inner: b(g.Name(gn), lay.gNbs[gn]),
+				self:  g.Name(gn),
+				nbs:   lay.gNbs[gn],
+				perm:  lay.cover.SlotPerm(sn, lay.sPorts, lay.gPorts),
+			},
+			Clock: p.params.Q.ComposeRat(p.iters[lay.position[sn]]),
 		}
 	}
-	return &timedsim.System{G: s, Nodes: nodes, Delta: params.Delta}, nil
+	return &timedsim.System{G: s, Nodes: nodes, Delta: p.params.Delta}, nil
 }
 
-func sortedStrings(s []string) []string {
-	out := append([]string(nil), s...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+// renamedDevice runs a device built for G-node self at an S-node of the
+// cover. S-slot i carries the edge of G-slot perm[i] (see
+// graph.Cover.SlotPerm), so the inner device observes exactly the
+// neighborhood it would have in G. As the inner device's executor, Tick
+// clears gOut before each call.
+type renamedDevice struct {
+	inner  timedsim.Device
+	self   string
+	nbs    []string // self's G-neighbors, in G-slot order
+	perm   []int
+	gInbox []timedsim.Message
+	gOut   []string
+}
+
+var _ timedsim.Device = (*renamedDevice)(nil)
+
+// Init initializes the inner device with its G identity.
+func (d *renamedDevice) Init(self string, neighbors []string) {
+	d.inner.Init(d.self, d.nbs)
+	d.gOut = make([]string, len(d.perm))
+}
+
+func (d *renamedDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out []string) {
+	gInbox := d.gInbox[:0]
+	for _, m := range inbox {
+		gInbox = append(gInbox, timedsim.Message{From: d.perm[m.From], Payload: m.Payload, SentAt: m.SentAt})
 	}
-	return out
+	d.gInbox = gInbox
+	clear(d.gOut)
+	d.inner.Tick(k, hw, gInbox, d.gOut)
+	for i, gs := range d.perm {
+		out[i] = d.gOut[gs]
+	}
 }
 
-// checkLemma9 re-executes scenario S_i scaled by hⁱ as an actual triangle
-// run: the images of nodes i and i+1 run their devices with clocks q and
-// p, the third triangle node replays the scaled border traffic, and the
-// tick sequences must match the ring's exactly (times scaled by h⁻ⁱ,
-// hardware readings and snapshots identical). This validates the
-// Scaling, Locality, and Fault axioms on the actual run.
-func checkLemma9(cover *graph.Cover, params Params, builders map[string]Builder, iters []clockfn.RatLinear, ringRun *timedsim.Run, i int, tSecond *big.Rat) error {
-	s, g := cover.S, cover.G
-	size := s.N()
-	// Private copy of the shared iterate: the scratch comparators below
-	// decompose Rate/Off in place (lazy denominators), and the table may
-	// be shared with concurrent grid cells.
+func (d *renamedDevice) Logical(hw *big.Rat) float64 { return d.inner.Logical(hw) }
+func (d *renamedDevice) Snapshot() string            { return d.inner.Snapshot() }
+
+// check is the Lemma 9 self-check, generalized to any layout: re-execute
+// scenario sc as a real run of G — the scenario's devices on their
+// scaled clocks, every other G-node a script replaying the scaled border
+// traffic — and require each correct node's ticks to match the covering
+// run's: the same count, times scaled by h^-scale, and identical
+// hardware readings and snapshots. This validates the Scaling,
+// Locality, and Fault axioms on the actual run.
+func (p *theorem8Prep) check(builders map[string]Builder, runS *timedsim.Run, sc scaledScenario) error {
+	lay := p.layout
+	cover, g := lay.cover, lay.cover.G
+	if err := cover.InducedIsomorphic(sc.u); err != nil {
+		return err
+	}
+	// Private copy of the shared iterate: scratch comparators decompose
+	// Rate/Off in place, and iters may be shared with concurrent cells.
 	scale := clockfn.RatLinear{
-		Rate: new(big.Rat).Set(iters[i].Rate),
-		Off:  new(big.Rat).Set(iters[i].Off),
+		Rate: new(big.Rat).Set(p.iters[sc.scale].Rate),
+		Off:  new(big.Rat).Set(p.iters[sc.scale].Off),
 	}
 	var scr clockfn.RatScratch
-	gi, gj := g.Name(cover.Phi[i]), g.Name(cover.Phi[(i+1)%size])
-	third := otherTriangleNode(gi, gj)
-
-	// Scripted border traffic: messages into i from i-1 (played as
-	// third->gi) and into i+1 from i+2 (played as third->gj), times
-	// scaled by h^{-i}. Each edge's sends are already time-ordered and
-	// scaling preserves order, so a merge replaces the full sort.
-	var intoGi, intoGj []timedsim.ScriptedSend
-	prev, next := (i-1+size)%size, (i+2)%size
-	for _, rec := range ringRun.Sends[graph.Edge{From: s.Name(prev), To: s.Name(i)}] {
-		intoGi = append(intoGi, timedsim.ScriptedSend{At: scale.At(rec.At), To: gi, Payload: rec.Payload})
+	correct := make([]int, g.N()) // G-node -> S preimage in sc.u, or -1
+	for i := range correct {
+		correct[i] = -1
 	}
-	for _, rec := range ringRun.Sends[graph.Edge{From: s.Name(next), To: s.Name((i + 1) % size)}] {
-		intoGj = append(intoGj, timedsim.ScriptedSend{At: scale.At(rec.At), To: gj, Payload: rec.Payload})
+	for _, sn := range sc.u {
+		correct[cover.Phi[sn]] = sn
 	}
-	script := mergeScript(&scr, intoGi, intoGj)
-
-	tri := graph.Triangle()
-	nodes := make([]timedsim.Node, 3)
-	for idx := 0; idx < 3; idx++ {
-		name := tri.Name(idx)
-		switch name {
-		case gi:
-			dev := builders[name](name, triNeighbors(tri, name))
-			dev.Init(name, triNeighbors(tri, name))
-			nodes[idx] = timedsim.Node{Device: dev, Clock: params.Q}
-		case gj:
-			dev := builders[name](name, triNeighbors(tri, name))
-			dev.Init(name, triNeighbors(tri, name))
-			nodes[idx] = timedsim.Node{Device: dev, Clock: params.P}
-		case third:
-			nodes[idx] = timedsim.Node{Script: script, Clock: params.Q}
+	nodes := make([]timedsim.Node, g.N())
+	for gn := range nodes {
+		if sn := correct[gn]; sn >= 0 {
+			// The scaled clock law (q h^-position) ∘ h^scale; every
+			// layout's scenario spans positions scale and scale+1.
+			e := sc.scale - lay.position[sn]
+			if e > 0 || -e >= len(p.iters) {
+				return fmt.Errorf("%s: S-node %s at position %d outside the scenario's scale %d",
+					sc.name, cover.S.Name(sn), lay.position[sn], sc.scale)
+			}
+			nodes[gn] = timedsim.Node{
+				Device: builders[g.Name(gn)](g.Name(gn), lay.gNbs[gn]),
+				Clock:  p.params.Q.ComposeRat(p.iters[-e]),
+			}
+			continue
 		}
+		// Faulty node: script the scaled sends its preimage made toward
+		// each correct neighbor. Per-edge send lists are time-ordered and
+		// scaling preserves order, so fold-merging them reproduces the
+		// stable sort of their concatenation.
+		var script []timedsim.ScriptedSend
+		for slot, gv := range lay.gPorts.Nbrs[gn] {
+			sn := correct[gv]
+			if sn < 0 {
+				continue
+			}
+			recs := runS.Sends[lay.edgeFrom(gn, sn)]
+			edge := make([]timedsim.ScriptedSend, 0, len(recs))
+			for _, rec := range recs {
+				edge = append(edge, timedsim.ScriptedSend{At: scale.At(rec.At), To: slot, Payload: rec.Payload})
+			}
+			script = mergeScript(&scr, script, edge)
+		}
+		nodes[gn] = timedsim.Node{Script: script, Clock: p.params.Q}
 	}
-	until := scale.At(tSecond)
-	triRun, err := timedsim.Execute(&timedsim.System{G: tri, Nodes: nodes, Delta: params.Delta}, until)
+	runG, err := timedsim.Execute(&timedsim.System{G: g, Nodes: nodes, Delta: p.params.Delta}, scale.At(p.tSecond))
 	if err != nil {
 		return err
 	}
-	// Compare tick sequences: ring node i vs triangle gi, ring i+1 vs gj.
-	pairs := []struct {
-		ringNode int
-		gName    string
-	}{{i, gi}, {(i + 1) % size, gj}}
-	for _, pair := range pairs {
-		ringTicks := ringRun.Ticks[pair.ringNode]
-		triTicks, err := triRun.TicksOf(pair.gName)
-		if err != nil {
-			return err
+	for _, sn := range sc.u {
+		name := g.Name(cover.Phi[sn])
+		sTicks, gTicks := runS.Ticks[sn], runG.Ticks[cover.Phi[sn]]
+		if len(sTicks) != len(gTicks) {
+			return fmt.Errorf("%s: node %s: %d covering ticks vs %d spliced ticks",
+				sc.name, name, len(sTicks), len(gTicks))
 		}
-		if len(ringTicks) != len(triTicks) {
-			return fmt.Errorf("node %s: %d ring ticks vs %d triangle ticks",
-				pair.gName, len(ringTicks), len(triTicks))
-		}
-		for j := range ringTicks {
-			rt, tt := ringTicks[j], triTicks[j]
-			if scr.CmpAt(scale, rt.Time, tt.Time) != 0 {
-				return fmt.Errorf("node %s tick %d: scaled time %s != %s",
-					pair.gName, j, scale.At(rt.Time).RatString(), tt.Time.RatString())
+		for j := range sTicks {
+			st, gt := sTicks[j], gTicks[j]
+			if scr.CmpAt(scale, st.Time, gt.Time) != 0 {
+				return fmt.Errorf("%s: node %s tick %d: scaled time %s != %s",
+					sc.name, name, j, scale.At(st.Time).RatString(), gt.Time.RatString())
 			}
-			if scr.Cmp(rt.HW, tt.HW) != 0 {
-				return fmt.Errorf("node %s tick %d: hw %s != %s",
-					pair.gName, j, rt.HW.RatString(), tt.HW.RatString())
+			if scr.Cmp(st.HW, gt.HW) != 0 {
+				return fmt.Errorf("%s: node %s tick %d: hw %s != %s",
+					sc.name, name, j, st.HW.RatString(), gt.HW.RatString())
 			}
-			if rt.Snapshot != tt.Snapshot {
-				return fmt.Errorf("node %s tick %d: snapshots differ: %q vs %q",
-					pair.gName, j, rt.Snapshot, tt.Snapshot)
+			if st.Snapshot != gt.Snapshot {
+				return fmt.Errorf("%s: node %s tick %d: snapshots differ: %q vs %q",
+					sc.name, name, j, st.Snapshot, gt.Snapshot)
 			}
 		}
 	}
 	return nil
 }
 
-func otherTriangleNode(a, b string) string {
-	for _, n := range []string{"a", "b", "c"} {
-		if n != a && n != b {
-			return n
+// edgeFrom returns the directed-edge id of S into sn from the neighbor
+// whose image is G-node gn.
+func (lay *scaledLayout) edgeFrom(gn, sn int) int {
+	for j, nb := range lay.sPorts.Nbrs[sn] {
+		if lay.cover.Phi[nb] == gn {
+			return lay.sPorts.Rev[lay.sPorts.Out[sn]+j]
 		}
 	}
-	return ""
+	panic(fmt.Sprintf("clocksync: no neighbor of %s maps to %s", lay.cover.S.Name(sn), lay.cover.G.Name(gn)))
 }
 
-func triNeighbors(tri *graph.Graph, name string) []string {
-	var out []string
-	u := tri.MustIndex(name)
-	for _, v := range tri.Neighbors(u) {
-		out = append(out, tri.Name(v))
+// evaluate applies the agreement and envelope conditions to every
+// scenario at its scaled time h^-scale(t”) and collects violations.
+func (p *theorem8Prep) evaluate(run *timedsim.Run) []Violation {
+	const tol = 1e-9
+	params := p.params
+	pf, qf := params.P.Float(), params.Q.Float()
+	var violations []Violation
+	for _, sc := range p.layout.scenarios {
+		tauF, _ := p.iters[sc.scale].At(p.tSecond).Float64()
+		bound := params.L.At(qf.At(tauF)) - params.L.At(pf.At(tauF)) - params.Alpha
+		loEnv, hiEnv := params.L.At(pf.At(tauF)), params.U.At(qf.At(tauF))
+		for ai, a := range sc.u {
+			ca := run.FinalLogical[a]
+			if ca < loEnv-tol || ca > hiEnv+tol {
+				violations = append(violations, Violation{
+					Scenario: sc.name, Condition: "envelope",
+					Detail: fmt.Sprintf("C(%s) = %.6f outside [l(p)=%.6f, u(q)=%.6f] at scaled time %.6f",
+						run.G.Name(a), ca, loEnv, hiEnv, tauF),
+				})
+			}
+			for _, b := range sc.u[ai+1:] {
+				gap := ca - run.FinalLogical[b]
+				if gap < 0 {
+					gap = -gap
+				}
+				if gap > bound+tol {
+					violations = append(violations, Violation{
+						Scenario: sc.name, Condition: "agreement",
+						Detail: fmt.Sprintf("|C(%s) - C(%s)| = %.6f > l(q)-l(p)-α = %.6f at scaled time %.6f",
+							run.G.Name(a), run.G.Name(b), gap, bound, tauF),
+					})
+				}
+			}
+		}
 	}
-	return sortedStrings(out)
+	return violations
 }
 
 // mergeScript merges two time-sorted script fragments into one sorted

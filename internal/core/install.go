@@ -114,7 +114,7 @@ func InstallCover(cover *graph.Cover, builders map[string]sim.Builder, inputs ma
 		Builders: make(map[string]sim.Builder, s.N()),
 		Inputs:   make(map[string]sim.Input, s.N()),
 	}
-	sPorts := s.Ports()
+	sPorts, gPorts := s.Ports(), g.Ports()
 	for sn := 0; sn < s.N(); sn++ {
 		sName := s.Name(sn)
 		gNode := cover.Phi[sn]
@@ -129,24 +129,19 @@ func InstallCover(cover *graph.Cover, builders map[string]sim.Builder, inputs ma
 		}
 		p.Inputs[sName] = input
 
-		// S-slot i holds S-neighbor nbs[i], whose image under Phi sits in
-		// slot perm[i] of the inner device's sorted G-neighbors.
 		nbs := sPorts.Nbrs[sn]
-		images := make([]string, len(nbs))
 		pairs := make([]string, len(nbs))
 		for i, nb := range nbs {
-			images[i] = g.Name(cover.Phi[nb])
-			pairs[i] = s.Name(nb) + ">" + images[i]
+			pairs[i] = s.Name(nb) + ">" + g.Name(cover.Phi[nb])
 		}
 		sort.Strings(pairs)
-		gNeighbors := append([]string(nil), images...)
-		sort.Strings(gNeighbors)
-		ren := &renaming{
-			perm: make([]int, len(nbs)),
-			fp:   "renamed:" + gName + "[" + strings.Join(pairs, ",") + "]|",
+		gNeighbors := make([]string, len(nbs))
+		for i, gv := range gPorts.Nbrs[gNode] {
+			gNeighbors[i] = g.Name(gv)
 		}
-		for i, img := range images {
-			ren.perm[i] = sort.SearchStrings(gNeighbors, img)
+		ren := &renaming{
+			perm: cover.SlotPerm(sn, sPorts, gPorts),
+			fp:   "renamed:" + gName + "[" + strings.Join(pairs, ",") + "]|",
 		}
 		// Capture loop variables for the closure.
 		b, in, gn := builder, input, gName

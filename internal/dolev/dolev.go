@@ -140,6 +140,15 @@ func isHex(s string) bool {
 	return true
 }
 
+// canonicalInt reports whether s starts the way strconv.AppendInt
+// writes an integer: "0", or an optional '-' and a nonzero digit. It
+// rejects the "+1", "01" and "-0" that strconv.Atoi also accepts, so a
+// decoded piece re-encodes to the bytes it came from.
+func canonicalInt(s string) bool {
+	digits := strings.TrimPrefix(s, "-")
+	return s == "0" || digits != "" && '1' <= digits[0] && digits[0] <= '9'
+}
+
 func decodePiece(r *Router, s string) (piece, bool) {
 	var p piece
 	// Wire layout: origin>dest>pathIdx,hop,innerRound,payload. Cut walks
@@ -168,6 +177,9 @@ func decodePiece(r *Router, s string) (piece, bool) {
 	origin, ok1 := r.g.Index(originName)
 	dest, ok2 := r.g.Index(destName)
 	if !ok1 || !ok2 {
+		return p, false
+	}
+	if !canonicalInt(pathIdxS) || !canonicalInt(hopS) || !canonicalInt(innerRoundS) {
 		return p, false
 	}
 	pathIdx, err1 := sim.DecodeInt(pathIdxS)

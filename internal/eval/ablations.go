@@ -286,15 +286,13 @@ func (b *beacon) Init(self string, neighbors []string) {
 	b.heard = nil
 }
 
-func (b *beacon) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timedsim.Send {
+func (b *beacon) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out []string) {
 	for _, m := range inbox {
-		b.heard = append(b.heard, m.From+":"+m.Payload)
+		b.heard = append(b.heard, b.nbs[m.From]+":"+m.Payload)
 	}
-	out := make([]timedsim.Send, 0, len(b.nbs))
-	for _, nb := range b.nbs {
-		out = append(out, timedsim.Send{To: nb, Payload: fmt.Sprintf("t%d", k)})
+	for i := range out {
+		out[i] = fmt.Sprintf("t%d", k)
 	}
-	return out
 }
 
 func (b *beacon) Logical(hw *big.Rat) float64 {

@@ -164,8 +164,9 @@ func TestCIPerfbenchPinned(t *testing.T) {
 }
 
 // TestCIFuzzPinned: the workflow runs the time-boxed fuzzers, the
-// Makefile target keeps both targets (RunCodec, then ParseBudget) and
-// their time boxes, and the seed corpora tier-1 replays are committed.
+// Makefile target keeps its three targets (RunCodec, ParseBudget, then
+// DecodePiece) and their time boxes, and the seed corpora tier-1
+// replays are committed.
 func TestCIFuzzPinned(t *testing.T) {
 	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
 	if err != nil {
@@ -180,11 +181,16 @@ func TestCIFuzzPinned(t *testing.T) {
 	}
 	recipe := `(?m)^fuzz:\n` +
 		`\t\$\(GO\) test ./internal/sim -run '\^\$\$' -fuzz '\^FuzzRunCodec\$\$' -fuzztime 10s\n` +
-		`\t\$\(GO\) test ./internal/runcache -run '\^\$\$' -fuzz '\^FuzzParseBudget\$\$' -fuzztime 10s$`
+		`\t\$\(GO\) test ./internal/runcache -run '\^\$\$' -fuzz '\^FuzzParseBudget\$\$' -fuzztime 10s\n` +
+		`\t\$\(GO\) test ./internal/dolev -run '\^\$\$' -fuzz '\^FuzzDecodePiece\$\$' -fuzztime 10s$`
 	if !regexp.MustCompile(recipe).Match(mk) {
-		t.Error("Makefile fuzz target no longer runs FuzzRunCodec and FuzzParseBudget for 10s each")
+		t.Error("Makefile fuzz target no longer runs FuzzRunCodec, FuzzParseBudget and FuzzDecodePiece for 10s each")
 	}
-	for _, dir := range []string{"../sim/testdata/fuzz/FuzzRunCodec", "../runcache/testdata/fuzz/FuzzParseBudget"} {
+	for _, dir := range []string{
+		"../sim/testdata/fuzz/FuzzRunCodec",
+		"../runcache/testdata/fuzz/FuzzParseBudget",
+		"../dolev/testdata/fuzz/FuzzDecodePiece",
+	} {
 		corpus, err := os.ReadDir(dir)
 		if err != nil || len(corpus) == 0 {
 			t.Errorf("seed corpus %s missing (%v)", dir, err)

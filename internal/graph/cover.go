@@ -67,6 +67,22 @@ func (c *Cover) EdgePreimage(s, gFrom int) int {
 	panic(fmt.Sprintf("cover: no neighbor of %s maps to %s", c.S.Name(s), c.G.Name(gFrom)))
 }
 
+// SlotPerm is the renaming of S-node s's slots onto its image's: S-slot
+// i, which belongs to sp.Nbrs[s][i], carries the edge of G-slot perm[i]
+// of Phi[s]. sp and gp are S.Ports() and G.Ports(); call Verify first.
+func (c *Cover) SlotPerm(s int, sp, gp Ports) []int {
+	gNbrs := gp.Nbrs[c.Phi[s]]
+	perm := make([]int, len(sp.Nbrs[s]))
+	for i, nb := range sp.Nbrs[s] {
+		for j, gv := range gNbrs {
+			if gv == c.Phi[nb] {
+				perm[i] = j
+			}
+		}
+	}
+	return perm
+}
+
 // Fiber returns the S-nodes mapping onto G-node g, sorted.
 func (c *Cover) Fiber(g int) []int {
 	var fiber []int

@@ -140,6 +140,20 @@ func (g *Graph) Neighbors(u int) []int {
 	return append([]int(nil), g.adj[u]...)
 }
 
+// Slots returns the slot (see Ports) of each of u's neighbors, in
+// Neighbors order.
+func (g *Graph) Slots(u int) []int {
+	slots := make([]int, len(g.adj[u]))
+	for i, v := range g.adj[u] {
+		for _, w := range g.adj[u] {
+			if g.names[w] < g.names[v] {
+				slots[i]++
+			}
+		}
+	}
+	return slots
+}
+
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 

@@ -10,8 +10,9 @@ import (
 //   - sim.Device.Step(round, in, out): both slot-indexed slices are
 //     views of the executor's mailbox and outbox buffers, reused every
 //     round;
-//   - timedsim.Device.Tick(k, hw, inbox): the inbox slice is reused
-//     between ticks and hw is an arena/scratch *big.Rat register.
+//   - timedsim.Device.Tick(k, hw, inbox, out): the inbox slice and the
+//     slot-indexed out buffer are reused between ticks, and hw is an
+//     arena/scratch *big.Rat register.
 //
 // A device that stores one of these — directly, via a sub-slice, via a
 // pointer to an element, or through a local alias — into a struct field
@@ -51,13 +52,15 @@ func runAlias(pass *Pass) {
 // devices and future device families are covered automatically:
 //
 //	Step: any slice-typed parameter (in and out);
-//	Tick: any slice-typed parameter (the inbox) and any pointer-typed
-//	      parameter (the hw scratch register).
+//	Tick: its first slice-typed parameter (the inbox), any later one
+//	      (the out slot buffer), and any pointer-typed parameter (the hw
+//	      scratch register).
 func ownedParams(pass *Pass, fd *ast.FuncDecl) map[types.Object]string {
 	if fd.Name.Name != "Step" && fd.Name.Name != "Tick" {
 		return nil
 	}
 	owned := make(map[types.Object]string)
+	inbox := fd.Name.Name == "Tick"
 	for _, field := range fd.Type.Params.List {
 		for _, name := range field.Names {
 			obj := pass.TypesInfo.ObjectOf(name)
@@ -66,8 +69,9 @@ func ownedParams(pass *Pass, fd *ast.FuncDecl) map[types.Object]string {
 			}
 			switch obj.Type().Underlying().(type) {
 			case *types.Slice:
-				if fd.Name.Name == "Tick" {
+				if inbox {
 					owned[obj] = "inbox slice"
+					inbox = false
 				} else {
 					owned[obj] = "slot buffer"
 				}

@@ -10,8 +10,6 @@ type Message struct {
 	SentAt  *big.Rat
 }
 
-type Send struct{ To, Payload string }
-
 var sink []string
 
 type keeper struct {
@@ -40,14 +38,15 @@ type ticker struct {
 	first  *Message
 	hw     *big.Rat
 	bodies []string
-	out    []Send
+	kept   []string
 }
 
-func (t *ticker) Tick(k int, hw *big.Rat, inbox []Message) []Send {
+func (t *ticker) Tick(k int, hw *big.Rat, inbox []Message, out []string) {
 	t.frozen = inbox     // want `ticker\.Tick retains the executor-owned inbox slice`
 	t.frozen = inbox[1:] // want `inbox slice`
 	t.first = &inbox[0]  // want `inbox slice`
 	t.hw = hw            // want `scratch register`
+	t.kept = out         // want `ticker\.Tick retains the executor-owned slot buffer \(out\)`
 
 	// Copies launder ownership: none of these are findings.
 	t.bodies = t.bodies[:0]
@@ -57,6 +56,7 @@ func (t *ticker) Tick(k int, hw *big.Rat, inbox []Message) []Send {
 	rat := new(big.Rat).Set(hw) // the call breaks the alias chain
 	_ = rat
 	_ = inbox // blank assignment does not escape
-	t.out = t.out[:0]
-	return t.out
+	for i := range out {
+		out[i] = "tick" // writing a slot is the point: ok
+	}
 }

@@ -13,22 +13,20 @@ import (
 )
 
 type Message struct {
-	From   string
+	From   int
 	Body   string
 	SentAt *big.Rat
 }
 
-type Send struct{ To, Body string }
-
-// eigDevice reuses its own scratch across ticks — vals and pending are
-// device-owned arenas, tmp is a local big.Rat register — and memoizes
-// its fingerprint. None of that may be flagged.
+// eigDevice reuses its own scratch across ticks — vals is a
+// device-owned arena, tmp is a local big.Rat register — and memoizes
+// its fingerprint. It writes its sends into the executor's out slots
+// without keeping them. None of that may be flagged.
 type eigDevice struct {
-	n, f    int
-	fp      string
-	vals    []string
-	tmp     big.Rat
-	pending []Send
+	n, f int
+	fp   string
+	vals []string
+	tmp  big.Rat
 }
 
 func (d *eigDevice) DeviceFingerprint() string {
@@ -38,18 +36,16 @@ func (d *eigDevice) DeviceFingerprint() string {
 	return d.fp
 }
 
-func (d *eigDevice) Tick(k int, hw *big.Rat, inbox []Message) []Send {
+func (d *eigDevice) Tick(k int, hw *big.Rat, inbox []Message, out []string) {
 	d.tmp.Set(hw) // copying out of the scratch register: ok
 	d.vals = d.vals[:0]
 	for _, m := range inbox {
 		d.vals = append(d.vals, m.Body) // string copy, not an alias: ok
 	}
 	sort.Strings(d.vals)
-	d.pending = d.pending[:0]
-	for _, v := range d.vals {
-		d.pending = append(d.pending, Send{To: v, Body: v})
+	for i := range out {
+		out[i] = d.fp // writing a slot: ok
 	}
-	return d.pending
 }
 
 // merge drains a map into a slice and sorts it with a deterministic

@@ -104,7 +104,7 @@ func TestScriptSendTimesCopied(t *testing.T) {
 	sys := &System{
 		G: graph.Line(2),
 		Nodes: []Node{
-			{Script: []ScriptedSend{{At: at, To: "l1", Payload: "x"}}, Clock: clockfn.RatIdentity()},
+			{Script: []ScriptedSend{{At: at, To: 0, Payload: "x"}}, Clock: clockfn.RatIdentity()},
 			{Device: &beacon{}, Clock: clockfn.RatIdentity()},
 		},
 		Delta: rat(1, 1),
@@ -113,7 +113,8 @@ func TestScriptSendTimesCopied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := run.Sends[graph.Edge{From: "l0", To: "l1"}]
+	id, _ := sys.G.EdgeID("l0", "l1")
+	recs := run.Sends[id]
 	if len(recs) != 1 {
 		t.Fatalf("recorded %d sends, want 1", len(recs))
 	}

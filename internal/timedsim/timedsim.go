@@ -17,41 +17,39 @@ package timedsim
 import (
 	"fmt"
 	"math/big"
-	"sort"
 
 	"flm/internal/clockfn"
 	"flm/internal/graph"
 )
 
-// Message is a delivered payload with its exact send time. SentAt may be
-// shared between every message of one send event and the corresponding
-// records of the Run; it must be treated as immutable.
+// Message is a delivered payload with its exact send time. From is the
+// receiver's slot of the sender (see Device). SentAt may be shared
+// between every message of one send event and the corresponding records
+// of the Run; it must be treated as immutable.
 type Message struct {
-	From    string
+	From    int
 	Payload string
 	SentAt  *big.Rat
-}
-
-// Send is an outgoing payload addressed to a neighbor.
-type Send struct {
-	To      string
-	Payload string
 }
 
 // Device is a clock-synchronization device: it acts at hardware ticks and
 // exposes a logical clock that is a function of its state and the current
 // hardware reading.
+//
+// Init is called once, before the first tick, with the node's name and
+// its neighbors sorted by name; the list is read-only and a device may
+// keep it. Slot i belongs to neighbors[i], as in the synchronous model
+// (see graph.Ports).
 type Device interface {
 	Init(self string, neighbors []string)
 	// Tick is invoked at the device's k-th hardware tick with the exact
 	// hardware reading and the messages that became consumable since the
-	// previous tick (sorted by send time, then sender). The inbox slice
-	// is owned by the executor and reused between ticks: devices must
-	// read what they need during Tick and must not retain the slice.
-	// Symmetrically, the returned Send slice is owned by the device and
-	// may be a buffer it reuses on the next Tick; the executor consumes
-	// it before ticking the device again.
-	Tick(k int, hw *big.Rat, inbox []Message) []Send
+	// previous tick (sorted by send time, then sender slot). The device
+	// sends out[i] to neighbors[i]; "" sends nothing. Both slices are
+	// owned by the executor, which clears out before each tick and
+	// reuses both buffers: a device reads and writes them during Tick
+	// and retains neither.
+	Tick(k int, hw *big.Rat, inbox []Message, out []string)
 	// Logical returns the logical clock value for a given hardware
 	// reading, using the device's current correction state.
 	Logical(hw *big.Rat) float64
@@ -59,10 +57,11 @@ type Device interface {
 	Snapshot() string
 }
 
-// ScriptedSend is one replayed transmission of a faulty node.
+// ScriptedSend is one replayed transmission of a faulty node to the
+// neighbor in its slot To.
 type ScriptedSend struct {
 	At      *big.Rat
-	To      string
+	To      int
 	Payload string
 }
 
@@ -112,9 +111,9 @@ type Run struct {
 	G            *graph.Graph
 	Until        *big.Rat
 	Ticks        [][]TickRecord
-	Sends        map[graph.Edge][]SendRecord
-	FinalLogical []float64  // logical clocks evaluated at time Until
-	FinalHW      []*big.Rat // hardware readings at time Until
+	Sends        [][]SendRecord // Sends[id]: the sends on directed edge id (see graph.Ports)
+	FinalLogical []float64      // logical clocks evaluated at time Until
+	FinalHW      []*big.Rat     // hardware readings at time Until
 }
 
 // tickSched is one device node's tick schedule as an exact integer
@@ -137,11 +136,12 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 	if sys.Delta == nil || sys.Delta.Sign() <= 0 {
 		return nil, fmt.Errorf("timedsim: tick spacing must be positive")
 	}
+	ports := g.Ports()
 	run := &Run{
 		G:            g,
 		Until:        new(big.Rat).Set(until),
 		Ticks:        make([][]TickRecord, g.N()),
-		Sends:        make(map[graph.Edge][]SendRecord),
+		Sends:        make([][]SendRecord, len(ports.Rev)),
 		FinalLogical: make([]float64, g.N()),
 		FinalHW:      make([]*big.Rat, g.N()),
 	}
@@ -162,13 +162,30 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 	nextTick := make([]int64, g.N()) // next tick index for device nodes; -1 for scripts
 	scriptPos := make([]int, g.N())
 	var inboxBuf []Message
+	maxDeg := 0
+	for _, nbs := range ports.Nbrs {
+		maxDeg = max(maxDeg, len(nbs))
+	}
+	outBuf := make([]string, maxDeg)
+	// deliver records a send on u's edge in slot i and queues it at the
+	// receiver, where it arrives in the receiver's slot of u.
+	deliver := func(u, i int, payload string, at *big.Rat) {
+		id := ports.Out[u] + i
+		v := ports.Nbrs[u][i]
+		pending[v] = append(pending[v], Message{From: ports.Rev[id] - ports.Out[v], Payload: payload, SentAt: at})
+		run.Sends[id] = append(run.Sends[id], SendRecord{At: at, Payload: payload})
+	}
 	for u := 0; u < g.N(); u++ {
 		node := sys.Nodes[u]
 		if node.Clock.Rate == nil || node.Clock.Rate.Sign() <= 0 {
 			return nil, fmt.Errorf("timedsim: node %s lacks an increasing hardware clock", g.Name(u))
 		}
 		if node.Device != nil {
-			node.Device.Init(g.Name(u), neighborNames(g, u))
+			nbs := make([]string, len(ports.Nbrs[u]))
+			for i, v := range ports.Nbrs[u] {
+				nbs[i] = g.Name(v)
+			}
+			node.Device.Init(g.Name(u), nbs)
 			// Devices begin at hardware clock 0: tick k happens when the
 			// hardware reads k*Delta, wherever that falls in (possibly
 			// negative) real time. Anchoring to hardware rather than
@@ -192,8 +209,11 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 			nextTick[u] = -1
 			// Scripts must be sorted by time for deterministic replay.
 			script := node.Script
-			for i := 1; i < len(script); i++ {
-				if scr.Cmp(script[i].At, script[i-1].At) < 0 {
+			for i, sc := range script {
+				if sc.To < 0 || sc.To >= len(ports.Nbrs[u]) {
+					return nil, fmt.Errorf("timedsim: script for node %s sends to slot %d of %d", g.Name(u), sc.To, len(ports.Nbrs[u]))
+				}
+				if i > 0 && scr.Cmp(sc.At, script[i-1].At) < 0 {
 					return nil, fmt.Errorf("timedsim: script for node %s not sorted by time", g.Name(u))
 				}
 			}
@@ -269,15 +289,13 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 				}
 			}
 			inboxBuf = inbox[:0]
-			sends := node.Device.Tick(int(k), hw, inbox)
-			for _, snd := range sends {
-				v, ok := g.Index(snd.To)
-				if !ok || !g.HasEdge(u, v) {
-					return nil, fmt.Errorf("timedsim: node %s sent to non-neighbor %q", g.Name(u), snd.To)
+			out := outBuf[:len(ports.Nbrs[u])]
+			clear(out)
+			node.Device.Tick(int(k), hw, inbox, out)
+			for i, payload := range out {
+				if payload != "" {
+					deliver(u, i, payload, now)
 				}
-				pending[v] = append(pending[v], Message{From: g.Name(u), Payload: snd.Payload, SentAt: now})
-				e := graph.Edge{From: g.Name(u), To: snd.To}
-				run.Sends[e] = append(run.Sends[e], SendRecord{At: now, Payload: snd.Payload})
 			}
 			run.Ticks[u] = append(run.Ticks[u], TickRecord{
 				Index:    int(k),
@@ -291,14 +309,7 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 		} else {
 			sc := node.Script[scriptPos[u]]
 			scriptPos[u]++
-			v, ok := g.Index(sc.To)
-			if !ok || !g.HasEdge(u, v) {
-				return nil, fmt.Errorf("timedsim: script for %s sends to non-neighbor %q", g.Name(u), sc.To)
-			}
-			at := arena.next().Set(sc.At)
-			pending[v] = append(pending[v], Message{From: g.Name(u), Payload: sc.Payload, SentAt: at})
-			e := graph.Edge{From: g.Name(u), To: sc.To}
-			run.Sends[e] = append(run.Sends[e], SendRecord{At: at, Payload: sc.Payload})
+			deliver(u, sc.To, sc.Payload, arena.next().Set(sc.At))
 		}
 	}
 
@@ -312,8 +323,8 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 	return run, nil
 }
 
-// msgLess is the deterministic inbox order: send time, then sender, then
-// payload.
+// msgLess is the deterministic inbox order: send time, then sender slot
+// (that is, sender name), then payload.
 func msgLess(scr *clockfn.RatScratch, a, b *Message) bool {
 	if c := scr.Cmp(a.SentAt, b.SentAt); c != 0 {
 		return c < 0
@@ -322,16 +333,6 @@ func msgLess(scr *clockfn.RatScratch, a, b *Message) bool {
 		return a.From < b.From
 	}
 	return a.Payload < b.Payload
-}
-
-func neighborNames(g *graph.Graph, u int) []string {
-	nbs := g.Neighbors(u)
-	names := make([]string, len(nbs))
-	for i, v := range nbs {
-		names[i] = g.Name(v)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // TicksOf returns the tick records of the named node.
@@ -351,48 +352,3 @@ func (r *Run) LogicalOf(name string) (float64, error) {
 	}
 	return r.FinalLogical[u], nil
 }
-
-// renamedDevice adapts a device built for a node of G to run at a node of
-// a covering graph S, translating neighbor names both ways (the timed
-// counterpart of the synchronous renamer). The translation buffers are
-// reused between ticks under the Device ownership contract.
-type renamedDevice struct {
-	inner  Device
-	toG    map[string]string
-	toS    map[string]string
-	gInbox []Message
-	out    []Send
-}
-
-var _ Device = (*renamedDevice)(nil)
-
-// Renamed wraps a device with an S-name/G-name translation.
-func Renamed(inner Device, toG, toS map[string]string) Device {
-	return &renamedDevice{inner: inner, toG: toG, toS: toS}
-}
-
-func (d *renamedDevice) Init(self string, neighbors []string) {
-	// Inner device is initialized by the caller with its G-identity.
-}
-
-func (d *renamedDevice) Tick(k int, hw *big.Rat, inbox []Message) []Send {
-	gInbox := d.gInbox[:0]
-	for _, m := range inbox {
-		if gFrom, ok := d.toG[m.From]; ok {
-			gInbox = append(gInbox, Message{From: gFrom, Payload: m.Payload, SentAt: m.SentAt})
-		}
-	}
-	d.gInbox = gInbox
-	sends := d.inner.Tick(k, hw, gInbox)
-	out := d.out[:0]
-	for _, s := range sends {
-		if sTo, ok := d.toS[s.To]; ok {
-			out = append(out, Send{To: sTo, Payload: s.Payload})
-		}
-	}
-	d.out = out
-	return out
-}
-
-func (d *renamedDevice) Logical(hw *big.Rat) float64 { return d.inner.Logical(hw) }
-func (d *renamedDevice) Snapshot() string            { return d.inner.Snapshot() }

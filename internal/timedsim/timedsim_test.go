@@ -26,15 +26,13 @@ func (b *beacon) Init(self string, neighbors []string) {
 	b.heard = nil
 }
 
-func (b *beacon) Tick(k int, hw *big.Rat, inbox []Message) []Send {
+func (b *beacon) Tick(k int, hw *big.Rat, inbox []Message, out []string) {
 	for _, m := range inbox {
-		b.heard = append(b.heard, m.From+":"+m.Payload)
+		b.heard = append(b.heard, b.nbs[m.From]+":"+m.Payload)
 	}
-	out := make([]Send, 0, len(b.nbs))
-	for _, nb := range b.nbs {
-		out = append(out, Send{To: nb, Payload: fmt.Sprintf("t%d", k)})
+	for i := range out {
+		out[i] = fmt.Sprintf("t%d", k)
 	}
-	return out
 }
 
 func (b *beacon) Logical(hw *big.Rat) float64 {
@@ -263,9 +261,10 @@ func TestFaultAxiomTimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	id, _ := sys.G.EdgeID("l0", "l1")
 	var script []ScriptedSend
-	for _, rec := range runA.Sends[graph.Edge{From: "l0", To: "l1"}] {
-		script = append(script, ScriptedSend{At: rec.At, To: "l1", Payload: rec.Payload})
+	for _, rec := range runA.Sends[id] {
+		script = append(script, ScriptedSend{At: rec.At, To: 0, Payload: rec.Payload})
 	}
 	replaySys := &System{
 		G: graph.Line(2),
@@ -310,19 +309,19 @@ func TestExecuteValidation(t *testing.T) {
 	}
 	// Unsorted script.
 	if _, err := Execute(&System{G: g, Nodes: []Node{
-		{Script: []ScriptedSend{{At: rat(2, 1), To: "l1", Payload: "x"}, {At: rat(1, 1), To: "l1", Payload: "y"}}, Clock: clockfn.RatIdentity()},
+		{Script: []ScriptedSend{{At: rat(2, 1), To: 0, Payload: "x"}, {At: rat(1, 1), To: 0, Payload: "y"}}, Clock: clockfn.RatIdentity()},
 		{Device: &beacon{}, Clock: clockfn.RatIdentity()},
 	}, Delta: rat(1, 1)}, rat(3, 1)); err == nil {
 		t.Error("unsorted script accepted")
 	}
-	// Script to non-neighbor.
+	// Script to a slot past the node's one neighbor.
 	g3 := graph.Line(3)
 	if _, err := Execute(&System{G: g3, Nodes: []Node{
-		{Script: []ScriptedSend{{At: rat(1, 1), To: "l2", Payload: "x"}}, Clock: clockfn.RatIdentity()},
+		{Script: []ScriptedSend{{At: rat(1, 1), To: 1, Payload: "x"}}, Clock: clockfn.RatIdentity()},
 		{Device: &beacon{}, Clock: clockfn.RatIdentity()},
 		{Device: &beacon{}, Clock: clockfn.RatIdentity()},
 	}, Delta: rat(1, 1)}, rat(2, 1)); err == nil {
-		t.Error("script to non-neighbor accepted")
+		t.Error("script to a missing slot accepted")
 	}
 }
 
@@ -344,15 +343,40 @@ func TestRunAccessors(t *testing.T) {
 	}
 }
 
-func TestRenamedDeviceTranslates(t *testing.T) {
-	inner := &beacon{}
-	inner.Init("g", []string{"gn"})
-	d := Renamed(inner, map[string]string{"sn": "gn"}, map[string]string{"gn": "sn"})
-	sends := d.Tick(0, rat(0, 1), []Message{{From: "sn", Payload: "x", SentAt: rat(0, 1)}})
-	if len(sends) != 1 || sends[0].To != "sn" {
-		t.Errorf("sends = %v, want translated to sn", sends)
+// slotSender writes only its last slot; every other slot stays "".
+type slotSender struct{ beacon }
+
+func (s *slotSender) Tick(k int, hw *big.Rat, inbox []Message, out []string) {
+	s.beacon.Tick(k, hw, inbox, out)
+	clear(out[:len(out)-1])
+}
+
+// TestSlotRouting: a payload written to slot i travels on the edge to
+// neighbors[i] and is recorded under that edge's id, an empty slot sends
+// nothing, and the receiver sees the sender in its own slot of it.
+func TestSlotRouting(t *testing.T) {
+	g := graph.Line(3) // l0 - l1 - l2; l1's slots are l0, l2
+	sys := &System{G: g, Nodes: []Node{
+		{Device: &beacon{}, Clock: clockfn.RatIdentity()},
+		{Device: &slotSender{}, Clock: clockfn.RatIdentity()},
+		{Device: &beacon{}, Clock: clockfn.RatIdentity()},
+	}, Delta: rat(1, 1)}
+	run, err := Execute(sys, rat(1, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if inner.Snapshot() != "[gn:x]" {
-		t.Errorf("inner heard %s, want [gn:x]", inner.Snapshot())
+	toL0, _ := g.EdgeID("l1", "l0")
+	toL2, _ := g.EdgeID("l1", "l2")
+	if n := len(run.Sends[toL0]); n != 0 {
+		t.Errorf("empty slot sent %d payloads to l0", n)
+	}
+	if n := len(run.Sends[toL2]); n != 2 {
+		t.Errorf("l1->l2 carried %d payloads, want one per tick (2)", n)
+	}
+	if got := run.Ticks[2][1].Snapshot; got != "[l1:t0]" {
+		t.Errorf("l2 heard %s, want [l1:t0]", got)
+	}
+	if got := run.Ticks[0][1].Snapshot; got != "[]" {
+		t.Errorf("l0 heard %s, want nothing", got)
 	}
 }
