@@ -8,9 +8,11 @@
 #              (see internal/lint)
 # fuzz         10 s each of coverage-guided fuzzing of sim.RunCodec, the
 #              disk tier's decoder, runcache.ParseBudget, the
-#              FLM_CACHE_BUDGET parser, and the Dolev piece decoder;
-#              tier-1 replays only the committed corpora
-#              (internal/{sim,runcache,dolev}/testdata/fuzz)
+#              FLM_CACHE_BUDGET parser, the Dolev piece decoder, and the
+#              timed model's exact rationals (clockfn.Q's arithmetic and
+#              ParseQ, both against math/big); tier-1 replays only the
+#              committed corpora
+#              (internal/{sim,runcache,dolev,clockfn}/testdata/fuzz)
 # verify-race  extended: vet + race-enabled tests; FLM_WORKERS forces the
 #              parallel sweep path so the race detector sees real
 #              concurrency even on single-core runners
@@ -79,6 +81,8 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRunCodec$$' -fuzztime 10s
 	$(GO) test ./internal/runcache -run '^$$' -fuzz '^FuzzParseBudget$$' -fuzztime 10s
 	$(GO) test ./internal/dolev -run '^$$' -fuzz '^FuzzDecodePiece$$' -fuzztime 10s
+	$(GO) test ./internal/clockfn -run '^$$' -fuzz '^FuzzQArith$$' -fuzztime 10s
+	$(GO) test ./internal/clockfn -run '^$$' -fuzz '^FuzzParseQ$$' -fuzztime 10s
 
 verify-race: verify
 	$(GO) vet ./...

@@ -142,8 +142,8 @@ func BenchmarkClockRing(b *testing.B) {
 		L:      LinearClock{Rate: 1},
 		U:      LinearClock{Rate: 1, Off: 4},
 		Alpha:  1.5,
-		TPrime: big.NewRat(4, 1),
-		Delta:  big.NewRat(1, 2),
+		TPrime: NewRat(4, 1),
+		Delta:  NewRat(1, 2),
 	}
 	builders := map[string]SyncBuilder{
 		"a": NewChaseClock(params.L), "b": NewChaseClock(params.L), "c": NewChaseClock(params.L),
@@ -272,8 +272,8 @@ func BenchmarkClockRingGeneral(b *testing.B) {
 		L:      LinearClock{Rate: 1},
 		U:      LinearClock{Rate: 1, Off: 4},
 		Alpha:  1.5,
-		TPrime: big.NewRat(4, 1),
-		Delta:  big.NewRat(1, 2),
+		TPrime: NewRat(4, 1),
+		Delta:  NewRat(1, 2),
 	}
 	b.Run("nodes-K6", func(b *testing.B) {
 		g := Complete(6)

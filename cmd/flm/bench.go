@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/big"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -433,9 +432,9 @@ func microBenches() []microBench {
 	// layer (the in-repo BenchmarkObsDisabled pins the allocs to zero).
 	obsOff := eigTrial(flm.ExecuteOpts{})
 	// micro:timedsim-tick isolates the timed simulator's tick loop: one
-	// Theorem 8 ring of chase devices, dominated by per-tick rational
-	// scheduling and message delivery (the arena + incremental-schedule
-	// hot path). micro:eig-resolve isolates the EIG tree: K9, f=2 honest
+	// Theorem 8 ring of chase devices, dominated by per-tick exact
+	// rational scheduling and message delivery (clockfn.Q's int64 fast
+	// path). micro:eig-resolve isolates the EIG tree: K9, f=2 honest
 	// trials over 16 distinct input patterns, dominated by flat-tree
 	// claim absorption and bottom-up resolution.
 	timedTick := func() error {
@@ -445,8 +444,8 @@ func microBenches() []microBench {
 			L:      flm.LinearClock{Rate: 1, Off: 0},
 			U:      flm.LinearClock{Rate: 1, Off: 4},
 			Alpha:  1.5,
-			TPrime: big.NewRat(4, 1),
-			Delta:  big.NewRat(1, 2),
+			TPrime: flm.NewRat(4, 1),
+			Delta:  flm.NewRat(1, 2),
 		}
 		builders := map[string]flm.SyncBuilder{
 			"a": flm.NewChaseClock(params.L),

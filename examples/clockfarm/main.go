@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/big"
 
 	"flm"
 )
@@ -22,8 +21,8 @@ func main() {
 		L:      flm.LinearClock{Rate: 1},         // lower envelope l(t) = t
 		U:      flm.LinearClock{Rate: 1, Off: 4}, // upper envelope u(t) = t + 4
 		Alpha:  1.5,                              // claimed improvement over trivial sync
-		TPrime: big.NewRat(4, 1),
-		Delta:  big.NewRat(1, 2),
+		TPrime: flm.NewRat(4, 1),
+		Delta:  flm.NewRat(1, 2),
 	}
 	fmt.Printf("clock laws: p(t)=t (slow), q(t)=1.5t (fast); envelopes [t, t+4]\n")
 	fmt.Printf("the trivial device C = l(D) synchronizes to l(q(t))-l(p(t)) = 0.5t:\n")
@@ -48,7 +47,7 @@ func main() {
 		}
 		fmt.Printf("\n--- %s ---\n", d.name)
 		fmt.Printf("ring of %d machines, clocks q·h⁻ⁱ (each node fast vs one neighbor, slow vs the other)\n", res.K+2)
-		fmt.Printf("logical clocks at t'' = h^%d(t') = %s:\n", res.K, res.TSecond.RatString())
+		fmt.Printf("logical clocks at t'' = h^%d(t') = %s:\n", res.K, res.TSecond)
 		for i, c := range res.Logical {
 			fmt.Printf("  machine %d: C = %10.4f\n", i, c)
 		}
@@ -63,7 +62,7 @@ func main() {
 	}
 
 	// Corollary 15: even logarithmic logical clocks cannot beat log2(r).
-	c15 := flm.Corollary15(4, 1, 2.5, big.NewRat(8, 1))
+	c15 := flm.Corollary15(4, 1, 2.5, flm.NewRat(8, 1))
 	fmt.Printf("\nCorollary 15 (l = log2, q = 4t): the best constant is log2(4) = %.0f\n", c15.TrivialGap(100))
 	res, err := flm.ProveClockSync(c15, map[string]flm.SyncBuilder{
 		"a": flm.NewTrivialClock(c15.L), "b": flm.NewTrivialClock(c15.L), "c": flm.NewTrivialClock(c15.L),

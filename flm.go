@@ -496,6 +496,9 @@ type (
 	LinearClock = clockfn.Linear
 	// RatClock is an exact rational affine hardware clock.
 	RatClock = clockfn.RatLinear
+	// Rat is the exact rational value of the timed model: times, tick
+	// spacings and hardware readings.
+	Rat = clockfn.Q
 )
 
 var (
@@ -528,6 +531,8 @@ var (
 	Corollary15 = clocksync.Corollary15
 	// NewRatClock builds an exact rational affine clock.
 	NewRatClock = clockfn.NewRatLinear
+	// NewRat builds the exact rational n/d.
+	NewRat = clockfn.NewQ
 	// RatIdentity is the exact identity clock.
 	RatIdentity = clockfn.RatIdentity
 )

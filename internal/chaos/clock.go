@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"math/big"
 	"math/rand"
 	"strconv"
 
@@ -61,8 +60,8 @@ func chaosClockParams() clocksync.Params {
 		L:      clockfn.Linear{Rate: 1, Off: 0},
 		U:      clockfn.Linear{Rate: 1, Off: 4},
 		Alpha:  1,
-		TPrime: big.NewRat(4, 1),
-		Delta:  big.NewRat(1, 2),
+		TPrime: clockfn.NewQ(4, 1),
+		Delta:  clockfn.NewQ(1, 2),
 	}
 }
 
@@ -70,19 +69,23 @@ func chaosClockParams() clocksync.Params {
 // integer time the liar reports an arbitrary value in [-10^6, 10^6] to
 // each neighbor independently — the Fault axiom's arbitrary behavior,
 // randomized.
-func liarScript(g *graph.Graph, liar string, seed int64, until int64) []timedsim.ScriptedSend {
+func liarScript(g *graph.Graph, liar string, seed int64, until int64) ([]timedsim.ScriptedSend, error) {
+	u, ok := g.Index(liar)
+	if !ok {
+		return nil, fmt.Errorf("chaos: clock liar %q is not a node of the graph", liar)
+	}
 	rng := rand.New(rand.NewSource(seed))
-	slots := g.Slots(g.MustIndex(liar))
+	slots := g.Slots(u)
 	var script []timedsim.ScriptedSend
 	for t := int64(0); t <= until; t++ {
 		for _, slot := range slots {
 			val := rng.Int63n(2_000_001) - 1_000_000
 			script = append(script, timedsim.ScriptedSend{
-				At: big.NewRat(t, 1), To: slot, Payload: strconv.FormatInt(val, 10),
+				At: clockfn.NewQ(t, 1), To: slot, Payload: strconv.FormatInt(val, 10),
 			})
 		}
 	}
-	return script
+	return script, nil
 }
 
 func runClockSchedule(s Schedule) Outcome {
@@ -120,9 +123,12 @@ func runClockSchedule(s Schedule) Outcome {
 	var script []timedsim.ScriptedSend
 	if len(s.Actions) > 0 {
 		liar = s.Actions[0].Node
-		script = liarScript(g, liar, s.Actions[0].Seed, clockHorizon)
+		var err error
+		if script, err = liarScript(g, liar, s.Actions[0].Seed, clockHorizon); err != nil {
+			return Outcome{EngineErr: err}
+		}
 	}
-	samples := []*big.Rat{big.NewRat(clockFirstEval, 1), big.NewRat(clockHorizon, 1)}
+	samples := []clockfn.Q{clockfn.NewQ(clockFirstEval, 1), clockfn.NewQ(clockHorizon, 1)}
 	results, err := clocksync.MeasureAdequateSync(params, g, clocks, builders, liar, script, samples)
 	if err != nil {
 		return Outcome{EngineErr: err}

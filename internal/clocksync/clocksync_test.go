@@ -2,7 +2,6 @@ package clocksync
 
 import (
 	"math"
-	"math/big"
 	"testing"
 
 	"flm/internal/clockfn"
@@ -16,8 +15,8 @@ func stdParams(alpha float64) Params {
 		L:      clockfn.Linear{Rate: 1, Off: 0},
 		U:      clockfn.Linear{Rate: 1, Off: 4},
 		Alpha:  alpha,
-		TPrime: big.NewRat(4, 1),
-		Delta:  big.NewRat(1, 2),
+		TPrime: clockfn.NewQ(4, 1),
+		Delta:  clockfn.NewQ(1, 2),
 	}
 }
 
@@ -36,7 +35,7 @@ func TestChooseK(t *testing.T) {
 	if k != 4 {
 		t.Errorf("k = %d, want 4", k)
 	}
-	tPrime, _ := params.TPrime.Float64()
+	tPrime := params.TPrime.Float64()
 	if got := params.L.At(params.P.Float().At(tPrime)) + float64(k)*params.Alpha; got <= params.U.At(params.Q.Float().At(tPrime)) {
 		t.Errorf("chosen k does not satisfy the bound: %v", got)
 	}
@@ -63,7 +62,7 @@ func TestHComposition(t *testing.T) {
 	}
 	// h(t) >= t for t >= 0.
 	for _, tv := range []int64{0, 1, 7} {
-		x := big.NewRat(tv, 1)
+		x := clockfn.NewQ(tv, 1)
 		if h.At(x).Cmp(x) < 0 {
 			t.Errorf("h(%d) < %d", tv, tv)
 		}
@@ -153,7 +152,7 @@ func TestTheorem8MonotoneLogicalForChase(t *testing.T) {
 }
 
 func TestCorollaries(t *testing.T) {
-	tPrime := big.NewRat(4, 1)
+	tPrime := clockfn.NewQ(4, 1)
 	tests := []struct {
 		name   string
 		params Params
@@ -161,7 +160,7 @@ func TestCorollaries(t *testing.T) {
 		{"cor12-linear-envelope", Corollary12(3, 2, 1, 0, 1, 4, 1.5, tPrime)},
 		{"cor13-rate", Corollary13(3, 2, 1, 0, 1.5, tPrime)},
 		{"cor14-offset", Corollary14(2, 1, 1, 0, 1, tPrime)},
-		{"cor15-log", Corollary15(4, 1, 2.5, big.NewRat(8, 1))},
+		{"cor15-log", Corollary15(4, 1, 2.5, clockfn.NewQ(8, 1))},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -190,7 +189,7 @@ func TestTrivialGap(t *testing.T) {
 		}
 	}
 	// Corollary 15: the gap is the constant log2(r).
-	c15 := Corollary15(4, 1, 2.5, big.NewRat(8, 1))
+	c15 := Corollary15(4, 1, 2.5, clockfn.NewQ(8, 1))
 	for _, tv := range []float64{1, 5, 100} {
 		if got := c15.TrivialGap(tv); math.Abs(got-2) > 1e-9 {
 			t.Errorf("log-clock gap at t=%v: %v, want 2 = log2(4)", tv, got)
@@ -206,7 +205,7 @@ func TestFloorsMatchLemma11(t *testing.T) {
 	}
 	// Floor at node 1 evaluated in frame 0: l(p(t'')) + 0; with
 	// l = id, p = id this is t'' itself.
-	tSecond, _ := res.TSecond.Float64()
+	tSecond := res.TSecond.Float64()
 	if math.Abs(res.Floors[1]-tSecond) > 1e-9 {
 		t.Errorf("floor[1] = %v, want %v", res.Floors[1], tSecond)
 	}
@@ -224,11 +223,11 @@ func TestDeviceSnapshots(t *testing.T) {
 	} {
 		d := b("a", []string{"b", "c"})
 		d.Init("a", []string{"b", "c"})
-		d.Tick(0, big.NewRat(0, 1), nil, make([]string, 2))
+		d.Tick(0, clockfn.NewQ(0, 1), nil, make([]string, 2))
 		if d.Snapshot() == "" {
 			t.Errorf("%s: empty snapshot", name)
 		}
-		if v := d.Logical(big.NewRat(3, 1)); math.IsNaN(v) {
+		if v := d.Logical(clockfn.NewQ(3, 1)); math.IsNaN(v) {
 			t.Errorf("%s: NaN logical clock", name)
 		}
 	}

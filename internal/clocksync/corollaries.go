@@ -1,10 +1,6 @@
 package clocksync
 
-import (
-	"math/big"
-
-	"flm/internal/clockfn"
-)
+import "flm/internal/clockfn"
 
 // This file instantiates Theorem 8 for the paper's Corollaries 12-15.
 // Each corollary fixes the clock laws p, q and the lower envelope l and
@@ -23,7 +19,7 @@ func (p Params) TrivialGap(t float64) float64 {
 // setting): p(t)=t, q(t)=rt, l(t)=a*t+b, u(t)=c*t+d. Claiming any
 // constant agreement bound within those envelopes implies beating the
 // trivial a(r-1)t synchronization by a constant, which Theorem 8 forbids.
-func Corollary12(rNum, rDen int64, a, b, c, d, alpha float64, tPrime *big.Rat) Params {
+func Corollary12(rNum, rDen int64, a, b, c, d, alpha float64, tPrime clockfn.Q) Params {
 	return Params{
 		P:      clockfn.RatIdentity(),
 		Q:      clockfn.NewRatLinear(rNum, rDen, 0, 1),
@@ -31,13 +27,13 @@ func Corollary12(rNum, rDen int64, a, b, c, d, alpha float64, tPrime *big.Rat) P
 		U:      clockfn.Linear{Rate: c, Off: d},
 		Alpha:  alpha,
 		TPrime: tPrime,
-		Delta:  big.NewRat(1, 2),
+		Delta:  clockfn.NewQ(1, 2),
 	}
 }
 
 // Corollary13 is the rate-difference bound: with p(t)=t, q(t)=rt and
 // l(t)=a*t+b, no devices can synchronize a constant closer than art-at.
-func Corollary13(rNum, rDen int64, a, b, alpha float64, tPrime *big.Rat) Params {
+func Corollary13(rNum, rDen int64, a, b, alpha float64, tPrime clockfn.Q) Params {
 	// Any upper envelope works; the paper notes its choice is
 	// immaterial. Use u = l + constant.
 	return Params{
@@ -47,14 +43,14 @@ func Corollary13(rNum, rDen int64, a, b, alpha float64, tPrime *big.Rat) Params 
 		U:      clockfn.Linear{Rate: a, Off: b + 4},
 		Alpha:  alpha,
 		TPrime: tPrime,
-		Delta:  big.NewRat(1, 2),
+		Delta:  clockfn.NewQ(1, 2),
 	}
 }
 
 // Corollary14 is the offset-difference bound: with p(t)=t, q(t)=t+c and
 // l(t)=a*t+b, no devices can synchronize a constant closer than a*c.
 // Here h(t) = t+c, so the ring's hardware clocks differ by offsets only.
-func Corollary14(cNum, cDen int64, a, b, alpha float64, tPrime *big.Rat) Params {
+func Corollary14(cNum, cDen int64, a, b, alpha float64, tPrime clockfn.Q) Params {
 	return Params{
 		P:      clockfn.RatIdentity(),
 		Q:      clockfn.NewRatLinear(1, 1, cNum, cDen),
@@ -62,7 +58,7 @@ func Corollary14(cNum, cDen int64, a, b, alpha float64, tPrime *big.Rat) Params 
 		U:      clockfn.Linear{Rate: a, Off: b + 4},
 		Alpha:  alpha,
 		TPrime: tPrime,
-		Delta:  big.NewRat(1, 2),
+		Delta:  clockfn.NewQ(1, 2),
 	}
 }
 
@@ -70,7 +66,7 @@ func Corollary14(cNum, cDen int64, a, b, alpha float64, tPrime *big.Rat) Params 
 // l(t)=log2(t), no devices can synchronize a constant closer than
 // log2(r) — diverging linear clocks can be tamed to a constant gap by
 // running logical clocks logarithmically, but never closer than log2(r).
-func Corollary15(rNum, rDen int64, alpha float64, tPrime *big.Rat) Params {
+func Corollary15(rNum, rDen int64, alpha float64, tPrime clockfn.Q) Params {
 	return Params{
 		P:      clockfn.RatIdentity(),
 		Q:      clockfn.NewRatLinear(rNum, rDen, 0, 1),
@@ -78,6 +74,6 @@ func Corollary15(rNum, rDen int64, alpha float64, tPrime *big.Rat) Params {
 		U:      clockfn.Compose(clockfn.Linear{Rate: 1, Off: 3}, clockfn.Log2{}),
 		Alpha:  alpha,
 		TPrime: tPrime,
-		Delta:  big.NewRat(1, 2),
+		Delta:  clockfn.NewQ(1, 2),
 	}
 }

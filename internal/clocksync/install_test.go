@@ -1,7 +1,6 @@
 package clocksync
 
 import (
-	"math/big"
 	"testing"
 
 	"flm/internal/clockfn"
@@ -18,7 +17,7 @@ type countingDevice struct {
 
 func (d *countingDevice) Init(self string, neighbors []string) { d.inits++ }
 
-func (d *countingDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out []string) {
+func (d *countingDevice) Tick(k int, hw clockfn.Q, inbox []timedsim.Message, out []string) {
 	if d.inits != 1 {
 		d.badTicks++
 	}
@@ -57,7 +56,7 @@ func TestInitOncePerExecution(t *testing.T) {
 		}},
 		{"MeasureAdequateSync", func() error {
 			_, err := MeasureAdequateSync(params, k4, clocks, uniformBuilders(k4, counting), "p3",
-				ClockLiarScript(k4, "p3", 8), []*big.Rat{big.NewRat(4, 1), big.NewRat(8, 1)})
+				mustClockLiar(k4, "p3", 8), []clockfn.Q{clockfn.NewQ(4, 1), clockfn.NewQ(8, 1)})
 			return err
 		}},
 	} {
@@ -85,7 +84,7 @@ func TestRenamedDeviceTranslates(t *testing.T) {
 	d := &renamedDevice{inner: rec, self: "g", nbs: []string{"x", "y"}, perm: []int{1, 0}}
 	d.Init("s", []string{"s0", "s1"})
 	out := make([]string, 2)
-	d.Tick(0, big.NewRat(0, 1), []timedsim.Message{{From: 0, Payload: "p", SentAt: big.NewRat(0, 1)}}, out)
+	d.Tick(0, clockfn.NewQ(0, 1), []timedsim.Message{{From: 0, Payload: "p", SentAt: clockfn.NewQ(0, 1)}}, out)
 	if rec.self != "g" || len(rec.nbs) != 2 || rec.nbs[1] != "y" {
 		t.Errorf("inner initialized as %q %v, want the G identity g [x y]", rec.self, rec.nbs)
 	}
@@ -108,7 +107,7 @@ type recordingDevice struct {
 
 func (d *recordingDevice) Init(self string, neighbors []string) { d.self, d.nbs = self, neighbors }
 
-func (d *recordingDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out []string) {
+func (d *recordingDevice) Tick(k int, hw clockfn.Q, inbox []timedsim.Message, out []string) {
 	for _, m := range inbox {
 		d.from = append(d.from, m.From)
 	}

@@ -1,11 +1,11 @@
 package clocksync
 
 import (
-	"math/big"
 	"testing"
 
 	"flm/internal/clockfn"
 	"flm/internal/graph"
+	"flm/internal/timedsim"
 )
 
 func TestTrimmedMidpointBeatsTrivialOnAdequateGraph(t *testing.T) {
@@ -24,9 +24,9 @@ func TestTrimmedMidpointBeatsTrivialOnAdequateGraph(t *testing.T) {
 	for _, name := range g.Names() {
 		builders[name] = NewTrimmedMidpoint(params.L, 1)
 	}
-	samples := []*big.Rat{big.NewRat(8, 1), big.NewRat(32, 1), big.NewRat(64, 1)}
+	samples := []clockfn.Q{clockfn.NewQ(8, 1), clockfn.NewQ(32, 1), clockfn.NewQ(64, 1)}
 	results, err := MeasureAdequateSync(params, g, clocks, builders, "p3",
-		ClockLiarScript(g, "p3", 64), samples)
+		mustClockLiar(g, "p3", 64), samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTrivialDeviceMatchesTrivialGapExactly(t *testing.T) {
 		builders[name] = NewTrivialLower(params.L)
 	}
 	results, err := MeasureAdequateSync(params, g, clocks, builders, "", nil,
-		[]*big.Rat{big.NewRat(8, 1), big.NewRat(32, 1)})
+		[]clockfn.Q{clockfn.NewQ(8, 1), clockfn.NewQ(32, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +67,15 @@ func TestTrivialDeviceMatchesTrivialGapExactly(t *testing.T) {
 	}
 }
 
+// mustClockLiar is ClockLiarScript for a liar the test knows is in g.
+func mustClockLiar(g *graph.Graph, liar string, until int64) []timedsim.ScriptedSend {
+	script, err := ClockLiarScript(g, liar, until)
+	if err != nil {
+		panic(err)
+	}
+	return script
+}
+
 func TestMeasureAdequateSyncValidation(t *testing.T) {
 	params := stdParams(1)
 	g := graph.Complete(3)
@@ -74,8 +83,22 @@ func TestMeasureAdequateSyncValidation(t *testing.T) {
 		t.Error("clock count mismatch accepted")
 	}
 	clocks := []clockfn.RatLinear{clockfn.RatIdentity(), clockfn.RatIdentity(), clockfn.RatIdentity()}
-	if _, err := MeasureAdequateSync(params, g, clocks, map[string]Builder{}, "", nil,
-		[]*big.Rat{big.NewRat(1, 1)}); err == nil {
+	samples := []clockfn.Q{clockfn.NewQ(1, 1)}
+	if _, err := MeasureAdequateSync(params, g, clocks, map[string]Builder{}, "", nil, samples); err == nil {
 		t.Error("missing builder accepted")
+	}
+	builders := uniformBuilders(g, NewMidpoint(params.L))
+	script := mustClockLiar(g, "p2", 4)
+	if _, err := MeasureAdequateSync(params, g, clocks, builders, "p9", script, samples); err == nil {
+		t.Error("a liar that is not a node of the graph accepted")
+	}
+	if _, err := MeasureAdequateSync(params, g, clocks, builders, "", script, samples); err == nil {
+		t.Error("a liar script without a liar accepted")
+	}
+	if _, err := ClockLiarScript(g, "p9", 4); err == nil {
+		t.Error("ClockLiarScript accepted a liar that is not a node of the graph")
+	}
+	if _, err := MeasureAdequateSync(params, g, clocks, builders, "p2", script, samples); err != nil {
+		t.Errorf("valid liar rejected: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package clocksync
 
 import (
 	"fmt"
-	"math/big"
 	"strings"
 
 	"flm/internal/clockfn"
@@ -19,8 +18,8 @@ type Params struct {
 	P, Q   clockfn.RatLinear // the slow and fast clock laws (exact)
 	L, U   clockfn.Fn        // lower and upper envelopes
 	Alpha  float64           // the claimed improvement over trivial sync
-	TPrime *big.Rat          // time from which agreement must hold
-	Delta  *big.Rat          // hardware tick spacing
+	TPrime clockfn.Q         // time from which agreement must hold
+	Delta  clockfn.Q         // hardware tick spacing
 }
 
 // Violation is one broken synchronization condition in a scaled scenario.
@@ -38,7 +37,7 @@ func (v Violation) String() string {
 type Result struct {
 	Params     Params
 	K          int       // the induction length (ring has K+2 nodes)
-	TSecond    *big.Rat  // t'' = h^K(t'), the evaluation time in ring frame
+	TSecond    clockfn.Q // t'' = h^K(t'), the evaluation time in ring frame
 	Logical    []float64 // C_i at t'' for every ring node
 	Floors     []float64 // Lemma 11 floors l(q h^{-(i)}(t'')) + (i-1)α forced on C_i
 	Violations []Violation
@@ -65,7 +64,7 @@ func (r *Result) String() string {
 // ChooseK returns the paper's induction length: the smallest k >= 2 with
 // k+2 divisible by 3 and l(p(t')) + k*alpha > u(q(t')).
 func (p Params) ChooseK() (int, error) {
-	tPrime, _ := p.TPrime.Float64()
+	tPrime := p.TPrime.Float64()
 	pf, qf := p.P.Float(), p.Q.Float()
 	if p.Alpha <= 0 {
 		return 0, fmt.Errorf("clocksync: alpha must be positive")
@@ -95,15 +94,13 @@ func (p Params) H() clockfn.RatLinear { return p.P.InverseRat().ComposeRat(p.Q) 
 // the verified cover with its scaled scenarios, the table of h's inverse
 // iterates, and t”. Grid sweeps (EvalGrid) build one prep per parameter
 // case and share it across every device cell; the prep is read-only
-// during runs, and every rational it holds is treated as immutable
-// (scratch comparators copy before decomposing, since big.Rat lazily
-// materializes denominators in place).
+// during runs.
 type theorem8Prep struct {
 	params  Params
 	k       int
 	layout  *scaledLayout
 	iters   []clockfn.RatLinear // iters[i] = h⁻ⁱ, i = 0..k+1
-	tSecond *big.Rat            // t'' = hᵏ(t')
+	tSecond clockfn.Q           // t'' = hᵏ(t')
 }
 
 // scaledLayout is a covering of G laid out for the scaled argument.
@@ -194,10 +191,9 @@ func prepareTheorem8(params Params, layoutFor func(k int) *scaledLayout) (*theor
 	// q(hᵏ(t'))/Δ ticks — exponential in k for rate-scaled clocks. Guard
 	// against parameter choices that would take hours to simulate; a
 	// larger alpha (or tighter envelopes) shrinks k.
-	ticksEstimate := new(big.Rat).Quo(params.Q.At(tSecond), params.Delta)
-	if est, _ := ticksEstimate.Float64(); est > 5e5 {
+	if est := params.Q.At(tSecond).Quo(params.Delta).Float64(); est > 5e5 {
 		return nil, fmt.Errorf("clocksync: parameters need ~%.0f ticks (k=%d, t''=%s); increase alpha or tighten the envelopes",
-			est, k, tSecond.RatString())
+			est, k, tSecond)
 	}
 	layout := layoutFor(k)
 	if err := layout.cover.Verify(); err != nil {
@@ -242,7 +238,7 @@ func runTriangle(prep *theorem8Prep, builders map[string]Builder) (*Result, erro
 		pf := prep.params.P.Float()
 		res.Floors = make([]float64, prep.k+2)
 		for i := 0; i <= prep.k; i++ {
-			tau, _ := prep.iters[i].At(prep.tSecond).Float64()
+			tau := prep.iters[i].At(prep.tSecond).Float64()
 			res.Floors[i+1] = prep.params.L.At(pf.At(tau)) + float64(i)*prep.params.Alpha
 		}
 	}
@@ -343,7 +339,7 @@ func (d *renamedDevice) Init(self string, neighbors []string) {
 	d.gOut = make([]string, len(d.perm))
 }
 
-func (d *renamedDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out []string) {
+func (d *renamedDevice) Tick(k int, hw clockfn.Q, inbox []timedsim.Message, out []string) {
 	gInbox := d.gInbox[:0]
 	for _, m := range inbox {
 		gInbox = append(gInbox, timedsim.Message{From: d.perm[m.From], Payload: m.Payload, SentAt: m.SentAt})
@@ -356,8 +352,8 @@ func (d *renamedDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out [
 	}
 }
 
-func (d *renamedDevice) Logical(hw *big.Rat) float64 { return d.inner.Logical(hw) }
-func (d *renamedDevice) Snapshot() string            { return d.inner.Snapshot() }
+func (d *renamedDevice) Logical(hw clockfn.Q) float64 { return d.inner.Logical(hw) }
+func (d *renamedDevice) Snapshot() string             { return d.inner.Snapshot() }
 
 // check is the Lemma 9 self-check, generalized to any layout: re-execute
 // scenario sc as a real run of G — the scenario's devices on their
@@ -372,13 +368,7 @@ func (p *theorem8Prep) check(builders map[string]Builder, runS *timedsim.Run, sc
 	if err := cover.InducedIsomorphic(sc.u); err != nil {
 		return err
 	}
-	// Private copy of the shared iterate: scratch comparators decompose
-	// Rate/Off in place, and iters may be shared with concurrent cells.
-	scale := clockfn.RatLinear{
-		Rate: new(big.Rat).Set(p.iters[sc.scale].Rate),
-		Off:  new(big.Rat).Set(p.iters[sc.scale].Off),
-	}
-	var scr clockfn.RatScratch
+	scale := p.iters[sc.scale]
 	correct := make([]int, g.N()) // G-node -> S preimage in sc.u, or -1
 	for i := range correct {
 		correct[i] = -1
@@ -417,7 +407,7 @@ func (p *theorem8Prep) check(builders map[string]Builder, runS *timedsim.Run, sc
 			for _, rec := range recs {
 				edge = append(edge, timedsim.ScriptedSend{At: scale.At(rec.At), To: slot, Payload: rec.Payload})
 			}
-			script = mergeScript(&scr, script, edge)
+			script = mergeScript(script, edge)
 		}
 		nodes[gn] = timedsim.Node{Script: script, Clock: p.params.Q}
 	}
@@ -434,13 +424,13 @@ func (p *theorem8Prep) check(builders map[string]Builder, runS *timedsim.Run, sc
 		}
 		for j := range sTicks {
 			st, gt := sTicks[j], gTicks[j]
-			if scr.CmpAt(scale, st.Time, gt.Time) != 0 {
+			if scaled := scale.At(st.Time); scaled.Cmp(gt.Time) != 0 {
 				return fmt.Errorf("%s: node %s tick %d: scaled time %s != %s",
-					sc.name, name, j, scale.At(st.Time).RatString(), gt.Time.RatString())
+					sc.name, name, j, scaled, gt.Time)
 			}
-			if scr.Cmp(st.HW, gt.HW) != 0 {
+			if st.HW.Cmp(gt.HW) != 0 {
 				return fmt.Errorf("%s: node %s tick %d: hw %s != %s",
-					sc.name, name, j, st.HW.RatString(), gt.HW.RatString())
+					sc.name, name, j, st.HW, gt.HW)
 			}
 			if st.Snapshot != gt.Snapshot {
 				return fmt.Errorf("%s: node %s tick %d: snapshots differ: %q vs %q",
@@ -470,7 +460,7 @@ func (p *theorem8Prep) evaluate(run *timedsim.Run) []Violation {
 	pf, qf := params.P.Float(), params.Q.Float()
 	var violations []Violation
 	for _, sc := range p.layout.scenarios {
-		tauF, _ := p.iters[sc.scale].At(p.tSecond).Float64()
+		tauF := p.iters[sc.scale].At(p.tSecond).Float64()
 		bound := params.L.At(qf.At(tauF)) - params.L.At(pf.At(tauF)) - params.Alpha
 		loEnv, hiEnv := params.L.At(pf.At(tauF)), params.U.At(qf.At(tauF))
 		for ai, a := range sc.u {
@@ -502,11 +492,9 @@ func (p *theorem8Prep) evaluate(run *timedsim.Run) []Violation {
 
 // mergeScript merges two time-sorted script fragments into one sorted
 // script, with dst's sends winning ties — exactly the order a stable
-// insertion sort of dst followed by add would produce, but in linear time
-// and with the allocation-free scratch comparator instead of big.Rat.Cmp
-// (which builds two fresh Ints per call). Script assembly used to be the
-// single largest allocation site of the corollary grids.
-func mergeScript(scr *clockfn.RatScratch, dst, add []timedsim.ScriptedSend) []timedsim.ScriptedSend {
+// insertion sort of dst followed by add would produce, but in linear
+// time.
+func mergeScript(dst, add []timedsim.ScriptedSend) []timedsim.ScriptedSend {
 	if len(dst) == 0 {
 		return add
 	}
@@ -516,7 +504,7 @@ func mergeScript(scr *clockfn.RatScratch, dst, add []timedsim.ScriptedSend) []ti
 	out := make([]timedsim.ScriptedSend, 0, len(dst)+len(add))
 	i, j := 0, 0
 	for i < len(dst) && j < len(add) {
-		if scr.Cmp(dst[i].At, add[j].At) <= 0 {
+		if dst[i].At.Cmp(add[j].At) <= 0 {
 			out = append(out, dst[i])
 			i++
 		} else {

@@ -212,14 +212,14 @@ func RunE16() (*Result, error) {
 		Title:   "Scaling axiom under real-time delay (two-node beacon system, scaled 3x)",
 		Columns: []string{"real delay", "scaled run identical to original"},
 	}
-	for _, delay := range []*big.Rat{nil, big.NewRat(3, 4)} {
+	for _, delay := range []clockfn.Q{{}, clockfn.NewQ(3, 4)} {
 		identical, err := scalingIdentical(delay)
 		if err != nil {
 			return nil, err
 		}
 		label := "0 (instant)"
-		if delay != nil {
-			label = delay.RatString()
+		if delay.Sign() > 0 {
+			label = delay.String()
 		}
 		s.AddRow(label, fmt.Sprint(identical))
 	}
@@ -231,7 +231,7 @@ func RunE16() (*Result, error) {
 
 // scalingIdentical runs a tiny two-node timed system and its 3x-scaled
 // variant and reports whether the tick-state sequences coincide.
-func scalingIdentical(realDelay *big.Rat) (bool, error) {
+func scalingIdentical(realDelay clockfn.Q) (bool, error) {
 	h := clockfn.NewRatLinear(3, 1, 0, 1)
 	mk := func(scale bool) (*timedsim.Run, error) {
 		g := graph.Line(2)
@@ -241,10 +241,10 @@ func scalingIdentical(realDelay *big.Rat) (bool, error) {
 				{Device: newBeacon(), Clock: clockfn.RatIdentity()},
 				{Device: newBeacon(), Clock: clockfn.NewRatLinear(3, 2, 0, 1)},
 			},
-			Delta:     big.NewRat(1, 1),
+			Delta:     clockfn.NewQ(1, 1),
 			RealDelay: realDelay,
 		}
-		until := big.NewRat(6, 1)
+		until := clockfn.NewQ(6, 1)
 		if scale {
 			sys.Nodes[0].Clock = sys.Nodes[0].Clock.ComposeRat(h)
 			sys.Nodes[1].Clock = sys.Nodes[1].Clock.ComposeRat(h)
@@ -286,7 +286,7 @@ func (b *beacon) Init(self string, neighbors []string) {
 	b.heard = nil
 }
 
-func (b *beacon) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out []string) {
+func (b *beacon) Tick(k int, hw clockfn.Q, inbox []timedsim.Message, out []string) {
 	for _, m := range inbox {
 		b.heard = append(b.heard, b.nbs[m.From]+":"+m.Payload)
 	}
@@ -295,9 +295,6 @@ func (b *beacon) Tick(k int, hw *big.Rat, inbox []timedsim.Message, out []string
 	}
 }
 
-func (b *beacon) Logical(hw *big.Rat) float64 {
-	f, _ := hw.Float64()
-	return f
-}
+func (b *beacon) Logical(hw clockfn.Q) float64 { return hw.Float64() }
 
 func (b *beacon) Snapshot() string { return fmt.Sprint(b.heard) }

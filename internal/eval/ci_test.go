@@ -164,9 +164,9 @@ func TestCIPerfbenchPinned(t *testing.T) {
 }
 
 // TestCIFuzzPinned: the workflow runs the time-boxed fuzzers, the
-// Makefile target keeps its three targets (RunCodec, ParseBudget, then
-// DecodePiece) and their time boxes, and the seed corpora tier-1
-// replays are committed.
+// Makefile target keeps its five targets (RunCodec, ParseBudget,
+// DecodePiece, QArith, then ParseQ) and their time boxes, and the seed
+// corpora tier-1 replays are committed.
 func TestCIFuzzPinned(t *testing.T) {
 	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
 	if err != nil {
@@ -175,6 +175,9 @@ func TestCIFuzzPinned(t *testing.T) {
 	if !regexp.MustCompile(`(?m)^  fuzz:$`).Match(ci) || !regexp.MustCompile(`(?m)run:\s+make fuzz$`).Match(ci) {
 		t.Error("CI workflow has no fuzz job running `make fuzz`")
 	}
+	if !regexp.MustCompile(`(?m)^    name: fuzz \(RunCodec, ParseBudget, DecodePiece, QArith, ParseQ; 10s each\)$`).Match(ci) {
+		t.Error("CI fuzz job's name no longer lists its five targets")
+	}
 	mk, err := os.ReadFile("../../Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -182,14 +185,18 @@ func TestCIFuzzPinned(t *testing.T) {
 	recipe := `(?m)^fuzz:\n` +
 		`\t\$\(GO\) test ./internal/sim -run '\^\$\$' -fuzz '\^FuzzRunCodec\$\$' -fuzztime 10s\n` +
 		`\t\$\(GO\) test ./internal/runcache -run '\^\$\$' -fuzz '\^FuzzParseBudget\$\$' -fuzztime 10s\n` +
-		`\t\$\(GO\) test ./internal/dolev -run '\^\$\$' -fuzz '\^FuzzDecodePiece\$\$' -fuzztime 10s$`
+		`\t\$\(GO\) test ./internal/dolev -run '\^\$\$' -fuzz '\^FuzzDecodePiece\$\$' -fuzztime 10s\n` +
+		`\t\$\(GO\) test ./internal/clockfn -run '\^\$\$' -fuzz '\^FuzzQArith\$\$' -fuzztime 10s\n` +
+		`\t\$\(GO\) test ./internal/clockfn -run '\^\$\$' -fuzz '\^FuzzParseQ\$\$' -fuzztime 10s$`
 	if !regexp.MustCompile(recipe).Match(mk) {
-		t.Error("Makefile fuzz target no longer runs FuzzRunCodec, FuzzParseBudget and FuzzDecodePiece for 10s each")
+		t.Error("Makefile fuzz target no longer runs FuzzRunCodec, FuzzParseBudget, FuzzDecodePiece, FuzzQArith and FuzzParseQ for 10s each")
 	}
 	for _, dir := range []string{
 		"../sim/testdata/fuzz/FuzzRunCodec",
 		"../runcache/testdata/fuzz/FuzzParseBudget",
 		"../dolev/testdata/fuzz/FuzzDecodePiece",
+		"../clockfn/testdata/fuzz/FuzzQArith",
+		"../clockfn/testdata/fuzz/FuzzParseQ",
 	} {
 		corpus, err := os.ReadDir(dir)
 		if err != nil || len(corpus) == 0 {

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math/big"
 
 	"flm/internal/approx"
 	"flm/internal/byzantine"
@@ -568,8 +567,8 @@ func RunE7() (*Result, error) {
 		L:      clockfn.Linear{Rate: 1, Off: 0},
 		U:      clockfn.Linear{Rate: 1, Off: 4},
 		Alpha:  1.5,
-		TPrime: big.NewRat(4, 1),
-		Delta:  big.NewRat(1, 2),
+		TPrime: clockfn.NewQ(4, 1),
+		Delta:  clockfn.NewQ(1, 2),
 	}
 	res := &Result{
 		ID: "E7", Name: "Clock synchronization on the scaled ring",
@@ -663,12 +662,12 @@ func RunE8() (*Result, error) {
 		Summary: "The lower-envelope device achieves exactly l(q(t))-l(p(t)) with no " +
 			"communication; claiming any constant α better is defeated by the engine.",
 	}
-	tPrime := big.NewRat(4, 1)
+	tPrime := clockfn.NewQ(4, 1)
 	cases := []clocksync.GridCase{
 		{Name: "Cor 12 (linear envelope)", Params: clocksync.Corollary12(3, 2, 1, 0, 1, 4, 1.5, tPrime)},
 		{Name: "Cor 13 (rate r=3/2, l=t)", Params: clocksync.Corollary13(3, 2, 1, 0, 1.5, tPrime)},
 		{Name: "Cor 14 (offset c=2, l=t)", Params: clocksync.Corollary14(2, 1, 1, 0, 1, tPrime)},
-		{Name: "Cor 15 (rate r=4, l=log2)", Params: clocksync.Corollary15(4, 1, 2.5, big.NewRat(8, 1))},
+		{Name: "Cor 15 (rate r=4, l=log2)", Params: clocksync.Corollary15(4, 1, 2.5, clockfn.NewQ(8, 1))},
 	}
 	trivialForm := []string{"0.5t", "0.5t (= art-at)", "2 (= ac)", "2 (= log2 r)"} // closed forms of l(q(t))-l(p(t))
 	t := &Table{
@@ -681,7 +680,7 @@ func RunE8() (*Result, error) {
 		return nil, err
 	}
 	for i, c := range cases {
-		tp, _ := c.Params.TPrime.Float64()
+		tp := c.Params.TPrime.Float64()
 		triv, chase := grid[i][0], grid[i][1]
 		t.AddRow(c.Name, trivialForm[i], c.Params.TrivialGap(tp), triv.K, len(triv.Violations), len(chase.Violations))
 	}
@@ -696,8 +695,8 @@ func RunE8() (*Result, error) {
 		L:      clockfn.Linear{Rate: 1},
 		U:      clockfn.Linear{Rate: 1, Off: 4},
 		Alpha:  1,
-		TPrime: big.NewRat(4, 1),
-		Delta:  big.NewRat(1, 2),
+		TPrime: clockfn.NewQ(4, 1),
+		Delta:  clockfn.NewQ(1, 2),
 	}
 	k4 := graph.Complete(4)
 	clocks := []clockfn.RatLinear{
@@ -710,9 +709,12 @@ func RunE8() (*Result, error) {
 	for _, name := range k4.Names() {
 		buildersK4[name] = clocksync.NewTrimmedMidpoint(params.L, 1)
 	}
-	samples, err := clocksync.MeasureAdequateSync(params, k4, clocks, buildersK4, "p3",
-		clocksync.ClockLiarScript(k4, "p3", 64),
-		[]*big.Rat{big.NewRat(8, 1), big.NewRat(32, 1), big.NewRat(64, 1)})
+	liar, err := clocksync.ClockLiarScript(k4, "p3", 64)
+	if err != nil {
+		return nil, err
+	}
+	samples, err := clocksync.MeasureAdequateSync(params, k4, clocks, buildersK4, "p3", liar,
+		[]clockfn.Q{clockfn.NewQ(8, 1), clockfn.NewQ(32, 1), clockfn.NewQ(64, 1)})
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,7 @@ import (
 //     views of the executor's mailbox and outbox buffers, reused every
 //     round;
 //   - timedsim.Device.Tick(k, hw, inbox, out): the inbox slice and the
-//     slot-indexed out buffer are reused between ticks, and hw is an
-//     arena/scratch *big.Rat register.
+//     slot-indexed out buffer are reused between ticks.
 //
 // A device that stores one of these — directly, via a sub-slice, via a
 // pointer to an element, or through a local alias — into a struct field
@@ -20,8 +19,8 @@ import (
 // corruption is silent because the buffer usually still holds plausible
 // values. The analyzer flags retention of an owned parameter (or a
 // value derived from it by index/slice/address-of/parens alone) into
-// anything that outlives the call. Copies (append, copy, big.Rat.Set,
-// string conversion) launder ownership and are not flagged.
+// anything that outlives the call. Copies (append, copy, string
+// conversion) launder ownership and are not flagged.
 var Alias = &Analyzer{
 	Name: "flmalias",
 	Doc:  "forbid retention of executor-owned Step/Tick buffers in struct fields or package state",
@@ -52,9 +51,8 @@ func runAlias(pass *Pass) {
 // devices and future device families are covered automatically:
 //
 //	Step: any slice-typed parameter (in and out);
-//	Tick: its first slice-typed parameter (the inbox), any later one
-//	      (the out slot buffer), and any pointer-typed parameter (the hw
-//	      scratch register).
+//	Tick: its first slice-typed parameter (the inbox) and any later one
+//	      (the out slot buffer).
 func ownedParams(pass *Pass, fd *ast.FuncDecl) map[types.Object]string {
 	if fd.Name.Name != "Step" && fd.Name.Name != "Tick" {
 		return nil
@@ -67,18 +65,14 @@ func ownedParams(pass *Pass, fd *ast.FuncDecl) map[types.Object]string {
 			if obj == nil {
 				continue
 			}
-			switch obj.Type().Underlying().(type) {
-			case *types.Slice:
-				if inbox {
-					owned[obj] = "inbox slice"
-					inbox = false
-				} else {
-					owned[obj] = "slot buffer"
-				}
-			case *types.Pointer:
-				if fd.Name.Name == "Tick" {
-					owned[obj] = "scratch register"
-				}
+			if _, ok := obj.Type().Underlying().(*types.Slice); !ok {
+				continue
+			}
+			if inbox {
+				owned[obj] = "inbox slice"
+				inbox = false
+			} else {
+				owned[obj] = "slot buffer"
 			}
 		}
 	}
@@ -141,7 +135,7 @@ func checkRetention(pass *Pass, fd *ast.FuncDecl, owned map[types.Object]string)
 		case *types.Map, *types.Slice, *types.Pointer, *types.Interface, *types.Chan, *types.Signature:
 			return true
 		case *types.Struct, *types.Array:
-			return true // may embed pointers (timedsim.Message.SentAt)
+			return true // may embed pointers (a clockfn.Q's *big.Rat)
 		}
 		return false
 	}

@@ -7,8 +7,8 @@ func TestAliasFixture(t *testing.T) {
 }
 
 // TestScratchIdiomsNoFalsePositives runs the entire suite over a
-// fixture mirroring the production arena/scratch patterns (reusable
-// device-owned buffers, big.Rat scratch registers, memoized
+// fixture mirroring the production device patterns (reusable
+// device-owned buffers, kept exact-rational readings, memoized
 // fingerprints, collect-then-sort drains) at a determinism-gated import
 // path. Nothing may be reported.
 func TestScratchIdiomsNoFalsePositives(t *testing.T) {

@@ -15,8 +15,7 @@
 //     disabled path BenchmarkObsDisabled pins.
 //   - flmalias: Device Step/Tick implementations do not retain
 //     executor-owned buffers (Step's in/out slot slices, Tick's inbox
-//     slice, arena-backed *big.Rat scratch) in struct fields or package
-//     state.
+//     slice and out slot buffer) in struct fields or package state.
 //
 // The suite runs as a `go vet -vettool` binary (cmd/flmlint, wired into
 // `make lint`) and deliberately depends only on the standard library:

@@ -4,10 +4,16 @@ package aliasfix
 
 import "math/big"
 
+// Q mirrors clockfn.Q: an immutable exact rational passed by value.
+type Q struct {
+	n, d int64
+	r    *big.Rat
+}
+
 type Message struct {
 	From    string
 	Payload string
-	SentAt  *big.Rat
+	SentAt  Q
 }
 
 var sink []string
@@ -36,25 +42,24 @@ func (k *keeper) Step(round int, in, out []string) {
 type ticker struct {
 	frozen []Message
 	first  *Message
-	hw     *big.Rat
+	hw     Q
 	bodies []string
 	kept   []string
 }
 
-func (t *ticker) Tick(k int, hw *big.Rat, inbox []Message, out []string) {
+func (t *ticker) Tick(k int, hw Q, inbox []Message, out []string) {
 	t.frozen = inbox     // want `ticker\.Tick retains the executor-owned inbox slice`
 	t.frozen = inbox[1:] // want `inbox slice`
 	t.first = &inbox[0]  // want `inbox slice`
-	t.hw = hw            // want `scratch register`
 	t.kept = out         // want `ticker\.Tick retains the executor-owned slot buffer \(out\)`
 
-	// Copies launder ownership: none of these are findings.
+	// Values and copies are not executor buffers: none of these are
+	// findings.
+	t.hw = hw // hw is a value parameter, not a slice
 	t.bodies = t.bodies[:0]
 	for _, m := range inbox {
 		t.bodies = append(t.bodies, m.Payload)
 	}
-	rat := new(big.Rat).Set(hw) // the call breaks the alias chain
-	_ = rat
 	_ = inbox // blank assignment does not escape
 	for i := range out {
 		out[i] = "tick" // writing a slot is the point: ok

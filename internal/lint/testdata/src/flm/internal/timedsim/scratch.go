@@ -1,9 +1,9 @@
 // Package timedsim (the fixture, not the real one) mirrors the
-// production arena/scratch idioms from internal/timedsim and
+// production device idioms from internal/timedsim and
 // internal/byzantine/eigflat.go at a determinism-gated import path. The
 // whole suite must report nothing here: this is the no-false-positive
 // baseline for device-owned reusable buffers, memoized fingerprints,
-// arena scratch registers, and collect-then-sort map drains.
+// kept exact-rational readings, and collect-then-sort map drains.
 package timedsim
 
 import (
@@ -12,21 +12,28 @@ import (
 	"sort"
 )
 
+// Q mirrors clockfn.Q: an immutable exact rational passed by value,
+// holding a *big.Rat only when the value outgrows int64.
+type Q struct {
+	n, d int64
+	r    *big.Rat
+}
+
 type Message struct {
 	From   int
 	Body   string
-	SentAt *big.Rat
+	SentAt Q
 }
 
 // eigDevice reuses its own scratch across ticks — vals is a
-// device-owned arena, tmp is a local big.Rat register — and memoizes
+// device-owned buffer — keeps the last hardware reading, and memoizes
 // its fingerprint. It writes its sends into the executor's out slots
 // without keeping them. None of that may be flagged.
 type eigDevice struct {
 	n, f int
 	fp   string
 	vals []string
-	tmp  big.Rat
+	last Q
 }
 
 func (d *eigDevice) DeviceFingerprint() string {
@@ -36,8 +43,8 @@ func (d *eigDevice) DeviceFingerprint() string {
 	return d.fp
 }
 
-func (d *eigDevice) Tick(k int, hw *big.Rat, inbox []Message, out []string) {
-	d.tmp.Set(hw) // copying out of the scratch register: ok
+func (d *eigDevice) Tick(k int, hw Q, inbox []Message, out []string) {
+	d.last = hw // hw is an immutable value, not an executor buffer: ok
 	d.vals = d.vals[:0]
 	for _, m := range inbox {
 		d.vals = append(d.vals, m.Body) // string copy, not an alias: ok

@@ -2,7 +2,6 @@ package timedsim
 
 import (
 	"fmt"
-	"math/big"
 	"testing"
 	"testing/quick"
 
@@ -26,7 +25,7 @@ func (b *beacon) Init(self string, neighbors []string) {
 	b.heard = nil
 }
 
-func (b *beacon) Tick(k int, hw *big.Rat, inbox []Message, out []string) {
+func (b *beacon) Tick(k int, hw clockfn.Q, inbox []Message, out []string) {
 	for _, m := range inbox {
 		b.heard = append(b.heard, b.nbs[m.From]+":"+m.Payload)
 	}
@@ -35,14 +34,11 @@ func (b *beacon) Tick(k int, hw *big.Rat, inbox []Message, out []string) {
 	}
 }
 
-func (b *beacon) Logical(hw *big.Rat) float64 {
-	f, _ := hw.Float64()
-	return f
-}
+func (b *beacon) Logical(hw clockfn.Q) float64 { return hw.Float64() }
 
 func (b *beacon) Snapshot() string { return fmt.Sprint(b.heard) }
 
-func rat(n, d int64) *big.Rat { return big.NewRat(n, d) }
+func rat(n, d int64) clockfn.Q { return clockfn.NewQ(n, d) }
 
 func lineSystem(clockA, clockB clockfn.RatLinear) *System {
 	g := graph.Line(2)
@@ -72,9 +68,9 @@ func TestExecuteTickSchedule(t *testing.T) {
 	// Hardware readings are k*Delta.
 	for u := range run.Ticks {
 		for j, tick := range run.Ticks[u] {
-			want := new(big.Rat).SetInt64(int64(j))
+			want := clockfn.NewQ(int64(j), 1)
 			if tick.HW.Cmp(want) != 0 {
-				t.Errorf("node %d tick %d hw = %s", u, j, tick.HW.RatString())
+				t.Errorf("node %d tick %d hw = %s", u, j, tick.HW.String())
 			}
 		}
 	}
@@ -107,7 +103,7 @@ func TestNegativeStartForOffsetClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if run.Ticks[0][0].Time.Cmp(rat(-2, 1)) != 0 {
-		t.Errorf("first tick at %s, want -2", run.Ticks[0][0].Time.RatString())
+		t.Errorf("first tick at %s, want -2", run.Ticks[0][0].Time.String())
 	}
 }
 
@@ -141,7 +137,7 @@ func TestScalingAxiom(t *testing.T) {
 			for j := range runA.Ticks[u] {
 				a, b := runA.Ticks[u][j], runB.Ticks[u][j]
 				if want := hInv.At(a.Time); want.Cmp(b.Time) != 0 {
-					t.Errorf("h=%s: node %d tick %d time %s, want %s", h, u, j, b.Time.RatString(), want.RatString())
+					t.Errorf("h=%s: node %d tick %d time %s, want %s", h, u, j, b.Time.String(), want.String())
 				}
 				if a.Snapshot != b.Snapshot {
 					t.Errorf("h=%s: node %d tick %d snapshots differ", h, u, j)
@@ -346,7 +342,7 @@ func TestRunAccessors(t *testing.T) {
 // slotSender writes only its last slot; every other slot stays "".
 type slotSender struct{ beacon }
 
-func (s *slotSender) Tick(k int, hw *big.Rat, inbox []Message, out []string) {
+func (s *slotSender) Tick(k int, hw clockfn.Q, inbox []Message, out []string) {
 	s.beacon.Tick(k, hw, inbox, out)
 	clear(out[:len(out)-1])
 }
