@@ -218,3 +218,13 @@ func TestRunCancellation(t *testing.T) {
 		t.Fatalf("no finding mentions the cancellation: %+v", rep.Unexpected)
 	}
 }
+
+// TestClockLiarOutsideGraph: a clock schedule whose liar names no node
+// of the graph is an engine error, not a panic.
+func TestClockLiarOutsideGraph(t *testing.T) {
+	s := Schedule{Protocol: "clocksync", N: 3, F: 1, Device: "midpoint", Inputs: make([]string, 3),
+		Actions: []Action{{Node: "p9", Strategy: "clock-liar", Seed: 1}}}
+	if out := RunSchedule(s); out.EngineErr == nil {
+		t.Fatalf("liar p9 on K3 ran: %+v", out)
+	}
+}
