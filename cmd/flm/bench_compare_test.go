@@ -19,9 +19,9 @@ func TestCompareReportsDeltasAndGate(t *testing.T) {
 		BenchEntry{ID: "gone", NsPerOp: 5, AllocsPerOp: 5, BytesPerOp: 5},
 	)
 	cur := benchFixture(
-		BenchEntry{ID: "E1", NsPerOp: 500, AllocsPerOp: 30, BytesPerOp: 4000}, // improved
+		BenchEntry{ID: "E1", NsPerOp: 500, AllocsPerOp: 30, BytesPerOp: 4000},    // improved
 		BenchEntry{ID: "E2", NsPerOp: 1200, AllocsPerOp: 120, BytesPerOp: 10000}, // +20% ns and allocs
-		BenchEntry{ID: "E18", NsPerOp: 7, AllocsPerOp: 7, BytesPerOp: 7}, // new, no baseline
+		BenchEntry{ID: "E18", NsPerOp: 7, AllocsPerOp: 7, BytesPerOp: 7},         // new, no baseline
 	)
 
 	var b strings.Builder

@@ -40,10 +40,10 @@ import (
 	"flm/internal/core"
 	"flm/internal/dolev"
 	"flm/internal/eval"
-	"flm/internal/runcache"
 	"flm/internal/firingsquad"
 	"flm/internal/graph"
 	"flm/internal/initdead"
+	"flm/internal/runcache"
 	"flm/internal/signed"
 	"flm/internal/sim"
 	"flm/internal/sweep"
