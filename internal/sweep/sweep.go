@@ -142,18 +142,21 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 
 	var (
 		next     atomic.Int64 // next trial index to claim
-		failed   atomic.Bool  // set once any trial errors
+		stop     atomic.Int64 // no trial at or past this index starts
 		mu       sync.Mutex   // guards firstErr/firstIdx
 		firstErr error
 		firstIdx = n
 		wg       sync.WaitGroup
 	)
+	stop.Store(int64(n))
 	// loop is one worker's claim-and-run cycle; wo is nil on the untraced
 	// path, so the only instrumentation cost there is a dead nil check.
+	// A failure lowers stop to its index, so trials claimed below it still
+	// run: one of them may fail first in index order.
 	loop := func(wo *workerObs) {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= n || failed.Load() {
+			if i >= int(stop.Load()) {
 				return
 			}
 			var t0 time.Time
@@ -168,10 +171,10 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 				if wo != nil {
 					wo.fault()
 				}
-				failed.Store(true)
 				mu.Lock()
 				if i < firstIdx {
 					firstIdx, firstErr = i, err
+					stop.Store(int64(i))
 				}
 				mu.Unlock()
 				return
