@@ -28,7 +28,9 @@
 # cache-warm   the cross-process reuse smoke: run the full experiment
 #              suite twice against one FLM_CACHE_DIR, require the second
 #              run's report byte-identical to the first and its disk
-#              hit-rate (disk hits / L1 misses) to clear a pinned floor
+#              hit-rate (disk hits / L1 misses) to clear a pinned floor;
+#              then run it a third time with both cache tiers off and
+#              require that report byte-identical too
 # chaos        the CI smoke run: randomized adversaries, pinned seed
 # chaos-async  the adversarial-asynchrony smoke: delay schedules plus
 #              initially-dead faults, pinned to its own seed/trial pair
@@ -102,16 +104,20 @@ bench-smoke:
 bench-gate:
 	$(GO) run ./cmd/flm bench -runs 1 -entries $(BENCH_GATE_ENTRIES) -o /tmp/flm-bench-gate.json -compare $(BENCH_BASELINE) -threshold $(BENCH_GATE_THRESHOLD)
 
-# Both runs are cold processes (go run spawns a fresh binary); only the
-# blob store under CACHE_WARM_DIR carries state across. The diff proves
-# disk-served results are byte-identical; the -mindiskrate gate (exit 3
-# below the floor) proves the second run actually came off disk rather
-# than recomputing.
+# All runs are cold processes (go run spawns a fresh binary); only the
+# blob store under CACHE_WARM_DIR carries state across. The first diff
+# proves disk-served results are byte-identical; the second proves the
+# cache is invisible end to end, by diffing against a run with neither
+# the in-memory nor the disk tier; the -mindiskrate gate (exit 3 below
+# the floor) proves the second run actually came off disk rather than
+# recomputing.
 cache-warm:
 	rm -rf $(CACHE_WARM_DIR)
 	FLM_CACHE_DIR=$(CACHE_WARM_DIR) $(GO) run ./cmd/flm all > /tmp/flm-cache-warm-cold.txt
 	FLM_CACHE_DIR=$(CACHE_WARM_DIR) $(GO) run ./cmd/flm all -trace /tmp/flm-cache-warm.jsonl > /tmp/flm-cache-warm-warm.txt
 	diff /tmp/flm-cache-warm-cold.txt /tmp/flm-cache-warm-warm.txt
+	FLM_RUNCACHE=off FLM_CACHE_DIR=off $(GO) run ./cmd/flm all > /tmp/flm-cache-warm-off.txt
+	diff /tmp/flm-cache-warm-cold.txt /tmp/flm-cache-warm-off.txt
 	$(GO) run ./cmd/flm stats -mindiskrate $(CACHE_WARM_MIN_RATE) /tmp/flm-cache-warm.jsonl > /tmp/flm-cache-warm-stats.txt
 	@tail -1 /tmp/flm-cache-warm-stats.txt
 

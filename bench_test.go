@@ -10,7 +10,6 @@ package flm
 
 import (
 	"fmt"
-	"math/big"
 	"testing"
 
 	"flm/internal/sweep"
@@ -251,13 +250,13 @@ func BenchmarkZeroDelayWeakConsensus(b *testing.B) {
 	strat := func(self string, nbs []string) []ZDMessage {
 		var out []ZDMessage
 		for i, nb := range nbs {
-			out = append(out, ZDMessage{To: nb, Value: fmt.Sprint(i % 2), Arrive: big.NewRat(1, 2)})
+			out = append(out, ZDMessage{To: nb, Value: fmt.Sprint(i % 2), Arrive: NewRat(1, 2)})
 		}
 		return out
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ZeroDelayRun(g, inputs, map[string]ZDStrategy{"p5": strat}, big.NewRat(0, 1)); err != nil {
+		if _, err := ZeroDelayRun(g, inputs, map[string]ZDStrategy{"p5": strat}, NewRat(0, 1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -520,12 +520,11 @@ func microBenches() []microBench {
 	}
 	// micro:cache-evict isolates the run cache's L1 bookkeeping under
 	// eviction pressure: a 64KiB cache fed 4096 ~1KiB values (64x the
-	// budget) twice over, so nearly every Do is a miss that inserts,
-	// promotes, and evicts through the sharded LRU; the second pass adds
-	// the evicted-key-recompute path. No sim work — the measured cost is
-	// keys (sha256 hashing), shard locking, list surgery, and budget
-	// accounting, which is exactly the machinery this PR put on the
-	// ExecuteCtx hot path.
+	// budget) twice over, so nearly every Do is a miss that inserts and,
+	// each time the budget fills, drops every finished entry; the second
+	// pass adds the evicted-key-recompute path. No sim work — the
+	// measured cost is keys (sha256 hashing), the map lock, and budget
+	// accounting, the cache machinery on the ExecuteCtx hot path.
 	cacheEvict := func() error {
 		c := runcache.New(runcache.WithBudget(64<<10), runcache.WithCost(func(v any) int64 {
 			return int64(len(v.(string))) + 16
@@ -540,7 +539,7 @@ func microBenches() []microBench {
 		computes := 0
 		for pass := 0; pass < 2; pass++ {
 			for _, k := range keys {
-				if _, err := c.Do(k, func() (any, error) {
+				if _, _, err := c.Do(k, func() (any, error) {
 					computes++
 					return val, nil
 				}); err != nil {
@@ -573,6 +572,6 @@ func microBenches() []microBench {
 		{"micro:timedsim-tick", "Theorem 8 ring of chase devices (timed tick loop)", timedTick},
 		{"micro:eig-resolve", "EIG K9 f=2, 16 input patterns (flat-tree resolve)", eigResolve},
 		{"micro:async-sched", "initdead K7 t=3 under seeded delay schedules (delivery ring)", asyncSched},
-		{"micro:cache-evict", "runcache L1 under 64x eviction pressure (sharded LRU)", cacheEvict},
+		{"micro:cache-evict", "runcache L1 under 64x eviction pressure (drop-all on overflow)", cacheEvict},
 	}
 }

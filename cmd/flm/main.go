@@ -134,8 +134,9 @@ FLM_OBS_INTERVAL=<duration> prints a progress/ETA line to stderr at
 that interval. Both are opt-in and cost nothing when unset; neither
 changes the report on stdout.
 
-Run cache: memoized executions live in a bounded in-memory tier
-(FLM_CACHE_BUDGET, default 256MiB) plus an on-disk content-addressed
+Run cache: memoized executions live in an in-memory tier bounded by
+FLM_CACHE_BUDGET (default 256MiB; every finished entry is dropped when
+the next would not fit) plus an on-disk content-addressed
 store shared across processes (FLM_CACHE_DIR, default the user cache
 dir; set to "off" to disable). Every command except bench uses the disk
 tier; bench measures cold runs by design. FLM_RUNCACHE=off disables

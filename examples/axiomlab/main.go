@@ -6,7 +6,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/big"
 
 	"flm"
 )
@@ -131,12 +130,12 @@ func zeroDelay() {
 	lateConflict := func(self string, nbs []string) []flm.ZDMessage {
 		out := []flm.ZDMessage{}
 		for _, nb := range nbs {
-			out = append(out, flm.ZDMessage{To: nb, Value: "1", Arrive: big.NewRat(1, 2)})
+			out = append(out, flm.ZDMessage{To: nb, Value: "1", Arrive: flm.NewRat(1, 2)})
 		}
-		out = append(out, flm.ZDMessage{To: nbs[0], Value: "0", Arrive: big.NewRat(99, 100)})
+		out = append(out, flm.ZDMessage{To: nbs[0], Value: "0", Arrive: flm.NewRat(99, 100)})
 		return out
 	}
-	for _, delay := range []*big.Rat{big.NewRat(0, 1), big.NewRat(1, 50)} {
+	for _, delay := range []flm.Rat{flm.NewRat(0, 1), flm.NewRat(1, 50)} {
 		res, err := flm.ZeroDelayRun(g, inputs, map[string]flm.ZDStrategy{"c": lateConflict}, delay)
 		if err != nil {
 			log.Fatal(err)
@@ -146,7 +145,7 @@ func zeroDelay() {
 		if rep.Agreement != nil {
 			verdict = "BROKEN: " + rep.Agreement.Error()
 		}
-		fmt.Printf("  min delay %-5s -> %s\n", delay.RatString(), verdict)
+		fmt.Printf("  min delay %-5s -> %s\n", delay.String(), verdict)
 	}
 	fmt.Println("with no minimum delay the victim warns everyone in time; any")
 	fmt.Println("positive minimum delay re-enables Theorem 2's impossibility.")

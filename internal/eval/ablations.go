@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math/big"
 	"strings"
 
 	"flm/internal/adversary"
@@ -173,23 +172,23 @@ func RunE16() (*Result, error) {
 				if i%2 == 0 {
 					v = "1"
 				}
-				out = append(out, weak.ZDMessage{To: nb, Value: v, Arrive: big.NewRat(1, 2)})
+				out = append(out, weak.ZDMessage{To: nb, Value: v, Arrive: clockfn.NewQ(1, 2)})
 			}
 			return out
 		},
 		"late-conflict": func(self string, nbs []string) []weak.ZDMessage {
 			out := []weak.ZDMessage{}
 			for _, nb := range nbs {
-				out = append(out, weak.ZDMessage{To: nb, Value: "1", Arrive: big.NewRat(1, 2)})
+				out = append(out, weak.ZDMessage{To: nb, Value: "1", Arrive: clockfn.NewQ(1, 2)})
 			}
-			out = append(out, weak.ZDMessage{To: nbs[0], Value: "0", Arrive: big.NewRat(99, 100)})
+			out = append(out, weak.ZDMessage{To: nbs[0], Value: "0", Arrive: clockfn.NewQ(99, 100)})
 			return out
 		},
 	}
 	for _, name := range []string{"silent", "equivocate", "late-conflict"} {
 		strat := strategies[name]
 		row := []string{name}
-		for _, delay := range []*big.Rat{big.NewRat(0, 1), big.NewRat(1, 50)} {
+		for _, delay := range []clockfn.Q{{}, clockfn.NewQ(1, 50)} {
 			zd, err := weak.ZeroDelayRun(g, inputs, map[string]weak.ZDStrategy{"c": strat}, delay)
 			if err != nil {
 				return nil, err

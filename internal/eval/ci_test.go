@@ -265,6 +265,47 @@ func TestMakefileTraceDiffPinned(t *testing.T) {
 	}
 }
 
+// TestMakefileCacheWarmPinned: the cache-warm target (which CI's
+// cache-warm job runs) keeps its legs: a cold and a warm `flm all`
+// against one FLM_CACHE_DIR with identical reports, a third run with
+// both cache tiers off whose report matches the cold one, and the
+// disk-rate gate on the warm run's trace.
+func TestMakefileCacheWarmPinned(t *testing.T) {
+	mk, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe := `(?m)^cache-warm:\n` +
+		`\trm -rf \$\(CACHE_WARM_DIR\)\n` +
+		`\tFLM_CACHE_DIR=\$\(CACHE_WARM_DIR\) \$\(GO\) run ./cmd/flm all > (\S+)\n` +
+		`\tFLM_CACHE_DIR=\$\(CACHE_WARM_DIR\) \$\(GO\) run ./cmd/flm all -trace (\S+) > (\S+)\n` +
+		`\tdiff (\S+) (\S+)\n` +
+		`\tFLM_RUNCACHE=off FLM_CACHE_DIR=off \$\(GO\) run ./cmd/flm all > (\S+)\n` +
+		`\tdiff (\S+) (\S+)\n` +
+		`\t\$\(GO\) run ./cmd/flm stats -mindiskrate \$\(CACHE_WARM_MIN_RATE\) (\S+) `
+	m := regexp.MustCompile(recipe).FindSubmatch(mk)
+	if m == nil {
+		t.Fatal("Makefile cache-warm target lost a leg: cold run, warm run, warm/cold diff, caches-off run, off/cold diff, disk-rate gate")
+	}
+	cold, trace, warm, off := string(m[1]), string(m[2]), string(m[3]), string(m[6])
+	if string(m[4]) != cold || string(m[5]) != warm {
+		t.Errorf("cache-warm diffs %s against %s, want the cold report %s against the warm one %s", m[4], m[5], cold, warm)
+	}
+	if string(m[7]) != cold || string(m[8]) != off {
+		t.Errorf("cache-warm diffs %s against %s, want the cold report %s against the caches-off one %s", m[7], m[8], cold, off)
+	}
+	if string(m[9]) != trace {
+		t.Errorf("cache-warm gates the disk rate of %s, want the warm run's trace %s", m[9], trace)
+	}
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^  cache-warm:$`).Match(ci) || !regexp.MustCompile(`(?m)run:\s+make cache-warm\b`).Match(ci) {
+		t.Error("CI workflow has no cache-warm job running `make cache-warm`")
+	}
+}
+
 // TestExperimentConstsPinned: E18/E20 run the exact smoke pairs. The
 // consts alias chaos's, so this is a tripwire against someone
 // re-hardcoding them.

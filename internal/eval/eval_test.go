@@ -3,6 +3,10 @@ package eval
 import (
 	"strings"
 	"testing"
+
+	"flm/internal/byzantine"
+	"flm/internal/dolev"
+	"flm/internal/graph"
 )
 
 func TestRegistryShape(t *testing.T) {
@@ -117,6 +121,38 @@ func TestE9FullPassOnAdequate(t *testing.T) {
 	for i := 1; i < len(fig.X); i++ {
 		if fig.Y[0][i] != 1 {
 			t.Errorf("crossover at n=%v is %v, want 1", fig.X[i], fig.Y[0][i])
+		}
+	}
+}
+
+// TestE10DolevAgreementOnSplitInputs runs E10's four Dolev-routed EIG
+// systems against the attack panel on mixed input patterns. E10 itself
+// sweeps only the all-0 and all-1 patterns, where validity alone fixes
+// the decision; split inputs are what exercise agreement over the
+// overlay.
+func TestE10DolevAgreementOnSplitInputs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		f    int
+	}{
+		{"Wheel(7)", graph.Wheel(7), 1},
+		{"Circulant(7;1,2)", graph.Circulant(7, 1, 2), 1},
+		{"Hypercube(3)", graph.Hypercube(3), 1},
+		{"Circulant(9;1,2,3)", graph.Circulant(9, 1, 2, 3), 2},
+	} {
+		r, err := dolev.NewRouter(c.g, c.f)
+		if err != nil {
+			t.Fatalf("router for %s: %v", c.name, err)
+		}
+		honest := dolev.Overlay(r, byzantine.NewEIG(c.f, c.g.Names()))
+		patterns := bitPatternsFor(c.g.N(), 4)[2:]
+		passed, total, err := attackSweep(c.g, honest, r.Rounds(byzantine.EIGRounds(c.f)), patterns, 17)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if total == 0 || passed != total {
+			t.Errorf("%s on patterns %#x: passed %d/%d attack configs", c.name, patterns, passed, total)
 		}
 	}
 }

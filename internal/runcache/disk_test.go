@@ -145,7 +145,7 @@ func TestCrossCacheDiskHit(t *testing.T) {
 
 	c1 := New()
 	defer c1.SetStore(store, strCodec{})()
-	if v, err := c1.Do(key, func() (any, error) { return "computed-once", nil }); err != nil || v != "computed-once" {
+	if v, _, err := c1.Do(key, func() (any, error) { return "computed-once", nil }); err != nil || v != "computed-once" {
 		t.Fatalf("first process Do = (%v, %v)", v, err)
 	}
 	if st := c1.Stats(); st.DiskWrites != 1 {
@@ -154,7 +154,7 @@ func TestCrossCacheDiskHit(t *testing.T) {
 
 	c2 := New()
 	defer c2.SetStore(store, strCodec{})()
-	v, err := c2.Do(key, func() (any, error) {
+	v, _, err := c2.Do(key, func() (any, error) {
 		t.Error("second process computed despite a warm disk tier")
 		return nil, errors.New("unreachable")
 	})
@@ -198,7 +198,7 @@ func TestCorruptBlobRecovery(t *testing.T) {
 	c2 := New()
 	defer c2.SetStore(store, strCodec{})()
 	calls := 0
-	v, err := c2.Do(key, func() (any, error) { calls++; return "recomputed", nil })
+	v, _, err := c2.Do(key, func() (any, error) { calls++; return "recomputed", nil })
 	if err != nil || v != "recomputed" || calls != 1 {
 		t.Fatalf("Do over corrupt blob = (%v, %v, calls %d), want recompute", v, err, calls)
 	}
@@ -225,7 +225,7 @@ func TestResetKeepsDisk(t *testing.T) {
 	key := testKey("reset")
 	c.Do(key, func() (any, error) { return "persisted", nil })
 	c.Reset()
-	v, err := c.Do(key, func() (any, error) {
+	v, _, err := c.Do(key, func() (any, error) {
 		t.Error("computed despite a warm disk tier surviving Reset")
 		return nil, errors.New("unreachable")
 	})

@@ -9,12 +9,13 @@
 //
 // The cache is two-tier:
 //
-//   - L1 (memory) is a sharded map keyed by fingerprint prefix, each
-//     shard guarded by its own mutex and bounded by its slice of a
-//     configurable byte budget (FLM_CACHE_BUDGET, default 256MiB) with
-//     LRU eviction. The per-shard bound is enforced under the shard
-//     lock, so the whole cache provably never retains more than the
-//     budget.
+//   - L1 (memory) is one mutex-guarded map bounded by a byte budget
+//     (FLM_CACHE_BUDGET, default 256MiB). When retaining a finished
+//     entry would push the retained bytes past the budget, every
+//     finished entry is dropped first; the bound is checked under the
+//     lock, so the cache never retains more than the budget. The full
+//     E1-E20 suite retains a small fraction of the default budget and
+//     never drops, so no recency order is kept.
 //   - L2 (disk, optional) is a content-addressed blob store (see
 //     disk.go) installed with SetStore. An L1 miss consults the store
 //     before computing, and a computed value is written back, giving
@@ -25,13 +26,14 @@
 // Concurrency contract: Do is single-flight per key. Under parallel
 // sweeps (FLM_WORKERS > 1) concurrent callers with the same fingerprint
 // block on one in-flight computation instead of duplicating it, and the
-// result is published race-cleanly via a channel close. Waiters hold the
-// flight's entry directly, so an entry evicted (or Reset away) while
-// still being waited on delivers its value to every waiter anyway — a
-// later lookup of the same key simply recomputes. Errors are never
-// cached: every waiter of the failing flight receives the error (and any
-// partial value), then the entry is discarded so a later call retries —
-// partial runs stay diagnosable exactly as in the uncached engine.
+// result is published race-cleanly via a channel close. In-flight
+// entries are never dropped to make room, and waiters hold the flight's
+// entry directly, so a flight Reset away while still being waited on
+// delivers its value to every waiter anyway — a later lookup of the
+// same key simply recomputes. Errors are never cached: every waiter of
+// the failing flight receives the error (and any partial value), then
+// the entry is discarded so a later call retries — partial runs stay
+// diagnosable exactly as in the uncached engine.
 //
 // Enablement: the cache is on by default and can be disabled for
 // debugging with FLM_RUNCACHE=off (or 0/false/no), or programmatically
@@ -53,19 +55,12 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"flm/internal/obs"
 )
 
 // DefaultBudget is the L1 byte budget when FLM_CACHE_BUDGET is unset:
-// large enough that the full E1-E20 suite never evicts, small enough
-// that a long-running sweep service cannot grow without limit.
+// large enough that the full E1-E20 suite never drops an entry, small
+// enough that a long-running sweep service cannot grow without limit.
 const DefaultBudget = 256 << 20
-
-// defaultShards is the L1 shard count. Fingerprints are sha256 digests,
-// so the leading key byte spreads uniformly; 16 shards keep per-shard
-// mutex contention negligible at any realistic FLM_WORKERS.
-const defaultShards = 16
 
 // Stats is a point-in-time view of a cache's effectiveness counters.
 // Hits/Misses/Waits/DiskHits/... are monotonically growing flows;
@@ -75,9 +70,9 @@ type Stats struct {
 	Misses    uint64 // lookups that started a computation
 	Waits     uint64 // hits that blocked on a still-in-flight computation
 	Entries   int    // entries currently retained, including any still in flight
-	Evictions uint64 // resident entries dropped to stay within the budget
+	Evictions uint64 // finished entries dropped to stay within the budget
 
-	BytesRetained uint64 // accounted cost of the resident L1 entries
+	BytesRetained uint64 // accounted cost of the finished L1 entries
 
 	DiskHits         uint64 // L1 misses filled from the disk tier
 	DiskMisses       uint64 // disk lookups that found no (valid) blob
@@ -152,42 +147,27 @@ func (h How) String() string {
 
 // entry is one flight: done is closed exactly once, after val/err are
 // set, which is the happens-before edge that publishes them to waiters.
-// A completed, retained entry additionally sits on its shard's LRU list
-// (resident == true); in-flight entries live in the map but never on
-// the list, so eviction cannot touch a flight that still has waiters
-// piling onto it.
+// A finished entry kept in the map has retained set and its cost
+// counted in the cache's bytes; in-flight entries are in the map too,
+// but a budget drop never touches them, so a flight with waiters piling
+// onto it cannot be computed twice by budget pressure.
 type entry struct {
-	key  string
-	done chan struct{}
-	val  any
-	err  error
-
-	cost       int64
-	resident   bool
-	prev, next *entry // shard LRU list links (most recent at head)
-}
-
-// shard is one lock domain of the L1 map: its own entries, its own LRU
-// order, its own slice of the byte budget. The budget invariant —
-// bytes <= budget at every unlock — is local to the shard, which is
-// what makes the global bound (sum of shards) provable without a global
-// lock.
-type shard struct {
-	mu        sync.Mutex
-	entries   map[string]*entry
-	head      *entry // most recently used resident entry
-	tail      *entry // least recently used resident entry
-	bytes     int64
-	residents int   // length of the LRU list
-	budget    int64 // < 0 unbounded, 0 retain nothing
+	done     chan struct{}
+	val      any
+	err      error
+	retained bool
 }
 
 // Cache is a single-flight two-tier memoization table keyed by
 // canonical fingerprints. The zero value is not usable; use New.
 type Cache struct {
-	shards []*shard
-	cost   func(any) int64
-	tier2  atomic.Pointer[tier2]
+	cost  func(any) int64
+	tier2 atomic.Pointer[tier2]
+
+	mu      sync.Mutex
+	entries map[string]*entry
+	bytes   int64 // accounted cost of the retained entries
+	budget  int64 // < 0 unbounded, 0 retain nothing
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -200,12 +180,6 @@ type Cache struct {
 	diskCorrupt atomic.Uint64
 	diskRead    atomic.Uint64
 	diskWritten atomic.Uint64
-
-	// Optional observability mirrors (nil unless WithMetrics): atomic
-	// counters/gauges only, so the disabled-tracing engine stays on its
-	// zero-alloc path.
-	mEvict, mDiskHit, mDiskMiss, mDiskWrite *obs.Counter
-	gBytes, gEntries                        *obs.Gauge
 }
 
 // tier2 pairs a blob store with the codec that turns cached values into
@@ -230,11 +204,9 @@ type Codec interface {
 type Option func(*cacheConfig)
 
 type cacheConfig struct {
-	shards  int
 	budget  int64
 	haveBud bool
 	cost    func(any) int64
-	metrics string
 }
 
 // WithBudget sets the L1 byte budget, overriding FLM_CACHE_BUDGET.
@@ -251,54 +223,21 @@ func WithCost(f func(v any) int64) Option {
 	return func(c *cacheConfig) { c.cost = f }
 }
 
-// WithMetrics mirrors the cache's eviction/disk counters and retained
-// bytes/entries gauges into the internal/obs registry under
-// "runcache.<name>.*", so traces carry them in the final metrics line.
-func WithMetrics(name string) Option {
-	return func(c *cacheConfig) { c.metrics = name }
-}
-
-// New returns an empty cache. With no options: 16 shards, the
-// FLM_CACHE_BUDGET byte budget (default 256MiB), default cost model,
-// no disk tier, no metrics.
+// New returns an empty cache. With no options: the FLM_CACHE_BUDGET
+// byte budget (default 256MiB), default cost model, no disk tier.
 func New(opts ...Option) *Cache {
-	cfg := cacheConfig{shards: defaultShards, cost: defaultCost}
+	cfg := cacheConfig{cost: defaultCost}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if !cfg.haveBud {
 		cfg.budget = envBudget()
 	}
-	c := &Cache{
-		shards: make([]*shard, cfg.shards),
-		cost:   cfg.cost,
+	return &Cache{
+		cost:    cfg.cost,
+		entries: make(map[string]*entry),
+		budget:  cfg.budget,
 	}
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			entries: make(map[string]*entry),
-			budget:  shardSlice(cfg.budget, cfg.shards),
-		}
-	}
-	if cfg.metrics != "" {
-		p := "runcache." + cfg.metrics
-		c.mEvict = obs.NewCounter(p + ".evict")
-		c.mDiskHit = obs.NewCounter(p + ".disk.hit")
-		c.mDiskMiss = obs.NewCounter(p + ".disk.miss")
-		c.mDiskWrite = obs.NewCounter(p + ".disk.write")
-		c.gBytes = obs.NewGauge(p + ".bytes")
-		c.gEntries = obs.NewGauge(p + ".entries")
-	}
-	return c
-}
-
-// shardSlice divides the byte budget across shards. Unbounded stays
-// unbounded; a bounded budget is floored per shard so the shard sums
-// never exceed the requested total.
-func shardSlice(budget int64, shards int) int64 {
-	if budget < 0 {
-		return -1
-	}
-	return budget / int64(shards)
 }
 
 // defaultCost is the fallback byte-cost model: exact for the flat value
@@ -312,16 +251,6 @@ func defaultCost(v any) int64 {
 	default:
 		return 512
 	}
-}
-
-// shard routes a key to its lock domain by fingerprint prefix. Keys are
-// sha256 digests in the engine, so the first byte is uniform; arbitrary
-// test keys just cluster, which is harmless.
-func (c *Cache) shard(key string) *shard {
-	if len(key) == 0 {
-		return c.shards[0]
-	}
-	return c.shards[int(key[0])%len(c.shards)]
 }
 
 // SetStore installs (or, with a nil store, removes) the disk tier and
@@ -346,47 +275,31 @@ func (c *Cache) Store() *Store {
 }
 
 // SetBudget rebounds the L1 byte budget at runtime (same semantics as
-// WithBudget), evicting immediately if shards are over their new slice,
-// and returns a function restoring the previous budget.
+// WithBudget), dropping every finished entry if the retained bytes
+// exceed the new budget, and returns a function restoring the previous
+// budget.
 func (c *Cache) SetBudget(bytes int64) (restore func()) {
-	var prev int64
-	per := shardSlice(bytes, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		if i == 0 {
-			prev = sh.budget
-		}
-		sh.budget = per
-		c.evictLocked(sh)
-		sh.mu.Unlock()
+	c.mu.Lock()
+	prev := c.budget
+	c.budget = bytes
+	if bytes >= 0 && c.bytes > bytes {
+		c.dropRetainedLocked()
 	}
-	prevTotal := prev
-	if prev >= 0 {
-		prevTotal = prev * int64(len(c.shards))
-	}
-	return func() { c.SetBudget(prevTotal) }
+	c.mu.Unlock()
+	return func() { c.SetBudget(prev) }
 }
 
 // Do returns the value cached under key, computing it with compute on
-// first use. Concurrent callers with the same key share one in-flight
+// first use, and reports how the lookup was served (miss / hit / wait /
+// disk). Concurrent callers with the same key share one in-flight
 // computation. A compute that errors (or panics) is handed to every
 // waiter of that flight and then forgotten, so errors are never served
 // from cache. The cached value is shared by all callers and must be
 // treated as immutable.
-func (c *Cache) Do(key string, compute func() (any, error)) (any, error) {
-	v, _, err := c.DoHow(key, compute)
-	return v, err
-}
-
-// DoHow is Do, reporting the serve outcome (miss / hit / wait / disk).
-func (c *Cache) DoHow(key string, compute func() (any, error)) (any, How, error) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		if e.resident {
-			sh.moveToFront(e)
-		}
-		sh.mu.Unlock()
+func (c *Cache) Do(key string, compute func() (any, error)) (any, How, error) {
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
+		c.mu.Unlock()
 		c.hits.Add(1)
 		how := Hit
 		select {
@@ -398,16 +311,16 @@ func (c *Cache) DoHow(key string, compute func() (any, error)) (any, How, error)
 		}
 		return e.val, how, e.err
 	}
-	e := &entry{key: key, done: make(chan struct{})}
-	sh.entries[key] = e
-	sh.mu.Unlock()
+	e := &entry{done: make(chan struct{})}
+	c.entries[key] = e
+	c.mu.Unlock()
 
 	// This caller owns the flight. Try the disk tier before computing;
 	// waiters that piled up behind the entry are served either way.
 	if t2 := c.tier2.Load(); t2 != nil {
 		if v, ok := c.diskLookup(t2, key); ok {
 			e.val = v
-			c.finish(sh, e, true)
+			c.finish(key, e, true)
 			return v, DiskHit, nil
 		}
 	}
@@ -418,7 +331,7 @@ func (c *Cache) DoHow(key string, compute func() (any, error)) (any, How, error)
 		// Runs on the normal return path and when compute panics: the
 		// failed flight is discarded (finished == false or err != nil)
 		// and the done close releases any waiters either way.
-		c.finish(sh, e, finished && e.err == nil)
+		c.finish(key, e, finished && e.err == nil)
 	}()
 	e.val, e.err = compute()
 	finished = true
@@ -442,13 +355,11 @@ func (c *Cache) diskLookup(t2 *tier2, key string) (any, bool) {
 		if derr != nil {
 			c.diskCorrupt.Add(1)
 			c.diskMisses.Add(1)
-			incCounter(c.mDiskMiss)
 			t2.store.Delete(key)
 			return nil, false
 		}
 		c.diskHits.Add(1)
 		c.diskRead.Add(uint64(len(data)))
-		incCounter(c.mDiskHit)
 		return v, true
 	case isCorrupt(err):
 		c.diskCorrupt.Add(1)
@@ -456,7 +367,6 @@ func (c *Cache) diskLookup(t2 *tier2, key string) (any, bool) {
 		fallthrough
 	default:
 		c.diskMisses.Add(1)
-		incCounter(c.mDiskMiss)
 		return nil, false
 	}
 }
@@ -472,120 +382,57 @@ func (c *Cache) diskWrite(t2 *tier2, key string, v any) {
 	if err := t2.store.Put(key, data); err == nil {
 		c.diskWrites.Add(1)
 		c.diskWritten.Add(uint64(len(data)))
-		incCounter(c.mDiskWrite)
 	}
 }
 
-// finish completes a flight: on retain it promotes the entry to
-// resident (accounting its cost and evicting LRU entries to stay within
-// the shard budget), otherwise it discards it. Either way the done
-// close publishes val/err to every waiter. The entry may already have
-// been removed by Reset; then there is nothing to retain.
-func (c *Cache) finish(sh *shard, e *entry, retain bool) {
-	sh.mu.Lock()
-	if cur, ok := sh.entries[e.key]; ok && cur == e {
-		fits := retain && sh.budget != 0
-		if fits {
-			e.cost = c.cost(e.val)
-			if sh.budget >= 0 && e.cost > sh.budget {
-				fits = false // larger than the whole shard slice: unretainable
+// finish completes a flight: on retain it keeps the entry and counts
+// its cost, first dropping every finished entry if the cost would not
+// otherwise fit the budget; a value larger than the whole budget is not
+// retained. Otherwise it discards the entry. Either way the done close
+// publishes val/err to every waiter. The entry may already have been
+// removed by Reset; then there is nothing to retain.
+func (c *Cache) finish(key string, e *entry, retain bool) {
+	var cost int64
+	if retain {
+		cost = c.cost(e.val)
+	}
+	c.mu.Lock()
+	if c.entries[key] == e {
+		switch {
+		case !retain || c.budget == 0 || (c.budget > 0 && cost > c.budget):
+			delete(c.entries, key)
+		default:
+			if c.budget > 0 && c.bytes+cost > c.budget {
+				c.dropRetainedLocked()
 			}
-		}
-		if fits {
-			e.resident = true
-			sh.pushFront(e)
-			sh.bytes += e.cost
-			addGauge(c.gBytes, e.cost)
-			addGauge(c.gEntries, 1)
-			c.evictLocked(sh)
-		} else {
-			delete(sh.entries, e.key)
+			e.retained = true
+			c.bytes += cost
 		}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	close(e.done)
 }
 
-// evictLocked drops least-recently-used resident entries until the
-// shard is back inside its byte budget. Callers hold sh.mu.
-// In-flight entries are never on the list, so a flight with waiters can
-// never be computed twice by eviction pressure.
-func (c *Cache) evictLocked(sh *shard) {
-	for sh.tail != nil && sh.budget >= 0 && sh.bytes > sh.budget {
-		victim := sh.tail
-		sh.unlink(victim)
-		delete(sh.entries, victim.key)
-		sh.bytes -= victim.cost
-		c.evictions.Add(1)
-		incCounter(c.mEvict)
-		addGauge(c.gBytes, -victim.cost)
-		addGauge(c.gEntries, -1)
+// dropRetainedLocked drops every finished entry, leaving in-flight ones
+// in place so their waiters and later callers still share one flight.
+// Callers hold c.mu.
+func (c *Cache) dropRetainedLocked() {
+	for key, e := range c.entries {
+		if e.retained {
+			delete(c.entries, key)
+			c.evictions.Add(1)
+		}
 	}
-}
-
-// incCounter and addGauge tolerate the nil metrics of a cache built
-// without WithMetrics.
-func incCounter(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func addGauge(g *obs.Gauge, delta int64) {
-	if g != nil {
-		g.Add(delta)
-	}
-}
-
-// moveToFront marks e as most recently used.
-func (sh *shard) moveToFront(e *entry) {
-	if sh.head == e {
-		return
-	}
-	sh.unlink(e)
-	sh.pushFront(e)
-}
-
-func (sh *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-	sh.residents++
-}
-
-func (sh *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-	sh.residents--
+	c.bytes = 0
 }
 
 // Stats returns the current counters. Entries counts retained entries,
 // including any still in flight; BytesRetained is the accounted cost of
-// the resident ones.
+// the finished ones.
 func (c *Cache) Stats() Stats {
-	var entries int
-	var bytes int64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		entries += len(sh.entries)
-		bytes += sh.bytes
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	entries, bytes := len(c.entries), c.bytes
+	c.mu.Unlock()
 	return Stats{
 		Hits:             c.hits.Load(),
 		Misses:           c.misses.Load(),
@@ -608,16 +455,10 @@ func (c *Cache) Stats() Stats {
 // need a fully cold run (flm bench) must also bypass or uninstall the
 // store — see SetStore.
 func (c *Cache) Reset() {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.entries = make(map[string]*entry)
-		sh.head, sh.tail = nil, nil
-		addGauge(c.gBytes, -sh.bytes)
-		addGauge(c.gEntries, int64(-sh.residents))
-		sh.bytes = 0
-		sh.residents = 0
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.entries = make(map[string]*entry)
+	c.bytes = 0
+	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.waits.Store(0)

@@ -14,7 +14,7 @@ func TestDoCachesValues(t *testing.T) {
 	calls := 0
 	compute := func() (any, error) { calls++; return "v", nil }
 	for i := 0; i < 3; i++ {
-		v, err := c.Do("k", compute)
+		v, _, err := c.Do("k", compute)
 		if err != nil || v != "v" {
 			t.Fatalf("Do #%d = (%v, %v), want (v, nil)", i, v, err)
 		}
@@ -30,8 +30,8 @@ func TestDoCachesValues(t *testing.T) {
 
 func TestDoKeysAreIndependent(t *testing.T) {
 	c := New()
-	a, _ := c.Do("a", func() (any, error) { return 1, nil })
-	b, _ := c.Do("b", func() (any, error) { return 2, nil })
+	a, _, _ := c.Do("a", func() (any, error) { return 1, nil })
+	b, _, _ := c.Do("b", func() (any, error) { return 2, nil })
 	if a != 1 || b != 2 {
 		t.Fatalf("Do(a)=%v Do(b)=%v, want 1 and 2", a, b)
 	}
@@ -41,12 +41,12 @@ func TestDoErrorsAreNotCached(t *testing.T) {
 	c := New()
 	boom := errors.New("boom")
 	calls := 0
-	v, err := c.Do("k", func() (any, error) { calls++; return "partial", boom })
+	v, _, err := c.Do("k", func() (any, error) { calls++; return "partial", boom })
 	if !errors.Is(err, boom) || v != "partial" {
 		t.Fatalf("first Do = (%v, %v), want (partial, boom)", v, err)
 	}
 	// The failed flight must not be retained: the next call recomputes.
-	v, err = c.Do("k", func() (any, error) { calls++; return "good", nil })
+	v, _, err = c.Do("k", func() (any, error) { calls++; return "good", nil })
 	if err != nil || v != "good" {
 		t.Fatalf("second Do = (%v, %v), want (good, nil)", v, err)
 	}
@@ -68,7 +68,7 @@ func TestDoPanicsAreNotCached(t *testing.T) {
 		}()
 		c.Do("k", func() (any, error) { panic("kaboom") })
 	}()
-	v, err := c.Do("k", func() (any, error) { return "ok", nil })
+	v, _, err := c.Do("k", func() (any, error) { return "ok", nil })
 	if err != nil || v != "ok" {
 		t.Fatalf("Do after panic = (%v, %v), want (ok, nil)", v, err)
 	}
@@ -88,7 +88,7 @@ func TestDoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.Do("k", func() (any, error) {
+			v, _, err := c.Do("k", func() (any, error) {
 				calls.Add(1)
 				<-release // hold the flight open so everyone piles up
 				return "shared", nil
@@ -169,11 +169,11 @@ func TestHasherFieldBoundaries(t *testing.T) {
 // never runs compute, and the counters agree.
 func TestDoHowOutcomes(t *testing.T) {
 	c := New()
-	v, how, err := c.DoHow("k", func() (any, error) { return 42, nil })
+	v, how, err := c.Do("k", func() (any, error) { return 42, nil })
 	if err != nil || v != 42 || how != Computed {
 		t.Fatalf("first call: v=%v how=%v err=%v, want 42/miss/nil", v, how, err)
 	}
-	v, how, err = c.DoHow("k", func() (any, error) {
+	v, how, err = c.Do("k", func() (any, error) {
 		t.Fatal("compute ran on a hit")
 		return nil, nil
 	})
@@ -189,10 +189,10 @@ func TestDoHowOutcomes(t *testing.T) {
 func TestDoHowErrorNotCached(t *testing.T) {
 	c := New()
 	boom := errors.New("boom")
-	if _, _, err := c.DoHow("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.Do("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	v, how, err := c.DoHow("k", func() (any, error) { return "fresh", nil })
+	v, how, err := c.Do("k", func() (any, error) { return "fresh", nil })
 	if err != nil || how != Computed || v != "fresh" {
 		t.Fatalf("after error: v=%v how=%v err=%v, want fresh recompute", v, how, err)
 	}
@@ -207,7 +207,7 @@ func TestDoHowWaiters(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		_, _, _ = c.DoHow("k", func() (any, error) {
+		_, _, _ = c.Do("k", func() (any, error) {
 			close(started)
 			<-release
 			return "v", nil
@@ -222,7 +222,7 @@ func TestDoHowWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, how, err := c.DoHow("k", func() (any, error) {
+			v, how, err := c.Do("k", func() (any, error) {
 				t.Error("compute ran twice for one key")
 				return nil, nil
 			})
@@ -232,7 +232,7 @@ func TestDoHowWaiters(t *testing.T) {
 			outcomes <- how
 		}()
 	}
-	// DoHow increments Waits before blocking on the in-flight compute,
+	// Do increments Waits before blocking on the in-flight compute,
 	// so once the counter reaches the waiter count every waiter is
 	// committed to the waited path; only then release the compute.
 	deadline := time.Now().Add(5 * time.Second)
@@ -280,15 +280,15 @@ func TestStatsSinceAndHitRate(t *testing.T) {
 func TestSinceSurvivesReset(t *testing.T) {
 	c := New()
 	for i := 0; i < 3; i++ {
-		_, _ = c.Do("a", func() (any, error) { return 1, nil })
+		_, _, _ = c.Do("a", func() (any, error) { return 1, nil })
 	}
 	c.Reset()
 	base := c.Stats()
 	if base.Hits != 0 || base.Misses != 0 || base.Waits != 0 {
 		t.Fatalf("post-reset stats = %+v, want zeroes", base)
 	}
-	_, _ = c.Do("b", func() (any, error) { return 2, nil })
-	_, _ = c.Do("b", func() (any, error) { return 2, nil })
+	_, _, _ = c.Do("b", func() (any, error) { return 2, nil })
+	_, _, _ = c.Do("b", func() (any, error) { return 2, nil })
 	d := c.Stats().Since(base)
 	if d.Hits != 1 || d.Misses != 1 {
 		t.Fatalf("delta = %+v, want 1 hit / 1 miss", d)

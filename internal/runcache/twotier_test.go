@@ -2,6 +2,7 @@ package runcache
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,29 +13,15 @@ import (
 // no overhead, so budget arithmetic in assertions is trivial.
 func strCost(v any) int64 { return int64(len(v.(string))) }
 
-// withShards sets the L1 shard count. With one shard the LRU victim
-// order is global, which the eviction-order tests rely on.
-func withShards(n int) Option {
-	return func(c *cacheConfig) { c.shards = n }
-}
-
-// spreadKey builds a sha256 key for index i, so keys spread uniformly
-// over shards the way real fingerprints do.
-func spreadKey(i int) string {
-	h := NewHasher("twotier-test/v1")
-	h.Int(i)
-	return h.Sum()
-}
-
 // TestL1BudgetNeverExceeded is the provable-bound acceptance test:
 // insertions far past the budget must never push retained bytes over
 // the configured bound, at any point, not just at the end.
 func TestL1BudgetNeverExceeded(t *testing.T) {
 	const budget = 4096
-	c := New(withShards(4), WithBudget(budget), WithCost(strCost))
+	c := New(WithBudget(budget), WithCost(strCost))
 	val := strings.Repeat("v", 100)
 	for i := 0; i < 500; i++ {
-		if _, err := c.Do(spreadKey(i), func() (any, error) { return val, nil }); err != nil {
+		if _, _, err := c.Do(fmt.Sprintf("k%d", i), func() (any, error) { return val, nil }); err != nil {
 			t.Fatal(err)
 		}
 		if st := c.Stats(); st.BytesRetained > budget {
@@ -50,32 +37,104 @@ func TestL1BudgetNeverExceeded(t *testing.T) {
 	}
 }
 
-// TestEvictedKeyRecomputes pins the LRU order: with room for two
-// entries, touching the older one makes the untouched one the victim.
+// TestEvictedKeyRecomputes: with room for two entries, a third drops
+// every finished entry, and a dropped key recomputes on its next lookup.
 func TestEvictedKeyRecomputes(t *testing.T) {
-	c := New(withShards(1), WithBudget(2), WithCost(strCost))
+	c := New(WithBudget(2), WithCost(strCost))
 	calls := map[string]int{}
 	do := func(key string) {
 		t.Helper()
-		v, err := c.Do(key, func() (any, error) { calls[key]++; return "x", nil })
+		v, _, err := c.Do(key, func() (any, error) { calls[key]++; return "x", nil })
 		if err != nil || v != "x" {
 			t.Fatalf("Do(%s) = (%v, %v)", key, v, err)
 		}
 	}
 	do("a")
 	do("b")
-	do("a") // refresh a: b is now least recently used
-	do("c") // evicts b
-	do("a")
-	do("b")
-	if calls["a"] != 1 {
-		t.Fatalf("a computed %d times, want 1 (should have survived as MRU)", calls["a"])
+	do("a") // hit: a and b fill the budget
+	do("c") // drops a and b, retains c
+	do("a") // recomputed; a and c fill the budget
+	do("b") // recomputed; drops c and a
+	if calls["a"] != 2 || calls["b"] != 2 || calls["c"] != 1 {
+		t.Fatalf("computes = %v, want a:2 b:2 c:1", calls)
 	}
-	if calls["b"] != 2 {
-		t.Fatalf("b computed %d times, want 2 (evicted, then recomputed)", calls["b"])
+	if st := c.Stats(); st.Evictions != 4 || st.Entries != 1 || st.BytesRetained != 1 {
+		t.Fatalf("stats = %+v, want 4 evictions and only b retained", st)
 	}
-	if st := c.Stats(); st.Evictions == 0 {
-		t.Fatalf("no evictions recorded: %+v", st)
+}
+
+// TestBudgetIsWhole: the budget bounds the cache as a whole, so a value
+// within it is retained, and SetBudget's restore brings back the exact
+// prior budget: two values that fill it to the byte stay retained.
+func TestBudgetIsWhole(t *testing.T) {
+	c := New(WithBudget(1000), WithCost(strCost))
+	calls := 0
+	for i := 0; i < 2; i++ {
+		c.Do("half", func() (any, error) { calls++; return strings.Repeat("h", 500), nil })
+	}
+	if st := c.Stats(); calls != 1 || st.BytesRetained != 500 {
+		t.Fatalf("500-byte value under a 1000-byte budget: %d computes, stats %+v; want 1 compute, 500 bytes retained", calls, st)
+	}
+	c.SetBudget(250)()
+	c.Do("a", func() (any, error) { return strings.Repeat("a", 500), nil })
+	c.Do("b", func() (any, error) { return strings.Repeat("b", 500), nil })
+	if st := c.Stats(); st.BytesRetained != 1000 || st.Evictions != 1 {
+		t.Fatalf("after restoring the 1000-byte budget, two 500-byte values: %+v; want 1000 bytes retained and only SetBudget(250)'s eviction", st)
+	}
+}
+
+// TestDropKeepsInFlight: a budget drop removes only finished entries,
+// so a flight still computing when the budget overflows keeps its
+// waiters and later callers on the one computation.
+func TestDropKeepsInFlight(t *testing.T) {
+	c := New(WithBudget(2), WithCost(strCost))
+	computing, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	compute := func() (any, error) {
+		if calls.Add(1) == 1 {
+			close(computing)
+			<-release
+		}
+		return "k", nil
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c.Do("k", compute)
+	}()
+	<-computing
+	for _, key := range []string{"a", "b", "c"} {
+		c.Do(key, func() (any, error) { return "x", nil }) // "c" drops a and b
+	}
+	if st := c.Stats(); st.Evictions != 2 {
+		t.Fatalf("stats = %+v, want a and b dropped", st)
+	}
+	var how How
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, how, _ = c.Do("k", compute)
+	}()
+	for c.Stats().Waits < 1 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	if n := calls.Load(); n != 1 || how != Waited {
+		t.Fatalf("after a drop: %d computes of the in-flight key, late caller served %v; want 1 compute, wait", n, how)
+	}
+}
+
+// TestUnboundedNeverDrops: a negative budget retains every finished
+// entry.
+func TestUnboundedNeverDrops(t *testing.T) {
+	c := New(WithBudget(-1), WithCost(strCost))
+	for i := 0; i < 100; i++ {
+		c.Do(fmt.Sprintf("k%d", i), func() (any, error) { return strings.Repeat("v", 100), nil })
+	}
+	if st := c.Stats(); st.Evictions != 0 || st.Entries != 100 || st.BytesRetained != 10000 {
+		t.Fatalf("unbounded cache after 100 x 100B inserts: %+v, want all retained", st)
 	}
 }
 
@@ -87,7 +146,7 @@ func TestBudgetZeroRetainsNothing(t *testing.T) {
 	c := New(WithBudget(0))
 	calls := 0
 	for i := 0; i < 3; i++ {
-		v, err := c.Do("k", func() (any, error) { calls++; return fmt.Sprintf("v%d", calls), nil })
+		v, _, err := c.Do("k", func() (any, error) { calls++; return fmt.Sprintf("v%d", calls), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +169,7 @@ func TestBudgetZeroRetainsNothing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.Do("sf", func() (any, error) {
+			v, _, err := c.Do("sf", func() (any, error) {
 				inFlight.Add(1)
 				<-release
 				return "shared", nil
@@ -142,7 +201,7 @@ func TestWaitersSurviveReset(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err := c.Do("k", func() (any, error) {
+		v, _, err := c.Do("k", func() (any, error) {
 			close(computing)
 			<-release
 			return "first", nil
@@ -159,7 +218,7 @@ func TestWaitersSurviveReset(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _ = c.Do("k", func() (any, error) { return "wrong-flight", nil })
+			results[i], _, _ = c.Do("k", func() (any, error) { return "wrong-flight", nil })
 		}(i)
 	}
 	for c.Stats().Waits < waiters {
@@ -176,18 +235,18 @@ func TestWaitersSurviveReset(t *testing.T) {
 	}
 
 	calls := 0
-	if v, _ := c.Do("k", func() (any, error) { calls++; return "second", nil }); v != "second" || calls != 1 {
+	if v, _, _ := c.Do("k", func() (any, error) { calls++; return "second", nil }); v != "second" || calls != 1 {
 		t.Fatalf("post-Reset Do = %v (calls %d), want fresh second/1", v, calls)
 	}
 }
 
-// TestOversizeValueNotRetained: a value larger than a whole shard's
-// budget slice is returned but never resident — and must not evict the
-// entries that do fit.
+// TestOversizeValueNotRetained: a value larger than the whole budget is
+// returned but never retained — and must not evict the entries that do
+// fit.
 func TestOversizeValueNotRetained(t *testing.T) {
-	c := New(withShards(1), WithBudget(100), WithCost(strCost))
+	c := New(WithBudget(100), WithCost(strCost))
 	c.Do("small", func() (any, error) { return "s", nil })
-	v, err := c.Do("huge", func() (any, error) { return strings.Repeat("h", 1000), nil })
+	v, _, err := c.Do("huge", func() (any, error) { return strings.Repeat("h", 1000), nil })
 	if err != nil || len(v.(string)) != 1000 {
 		t.Fatalf("oversize Do = (%d bytes, %v)", len(v.(string)), err)
 	}
@@ -202,10 +261,11 @@ func TestOversizeValueNotRetained(t *testing.T) {
 	}
 }
 
-// TestSetBudgetEvictsAndRestores: shrinking the budget at runtime evicts
-// immediately; the restore function reinstates the old bound.
+// TestSetBudgetEvictsAndRestores: shrinking the budget below the retained
+// bytes evicts immediately; the restore function reinstates the old
+// bound.
 func TestSetBudgetEvictsAndRestores(t *testing.T) {
-	c := New(withShards(1), WithBudget(1000), WithCost(strCost))
+	c := New(WithBudget(1000), WithCost(strCost))
 	for i := 0; i < 5; i++ {
 		c.Do(fmt.Sprintf("k%d", i), func() (any, error) { return strings.Repeat("v", 100), nil })
 	}
@@ -231,7 +291,7 @@ func TestSetBudgetEvictsAndRestores(t *testing.T) {
 // own key's value — never another flight's — while eviction churns
 // constantly.
 func TestConcurrentEvictionSingleFlight(t *testing.T) {
-	c := New(withShards(4), WithBudget(256), WithCost(strCost))
+	c := New(WithBudget(256), WithCost(strCost))
 	const (
 		goroutines = 8
 		iterations = 400
@@ -240,7 +300,7 @@ func TestConcurrentEvictionSingleFlight(t *testing.T) {
 	keys := make([]string, keySpace)
 	vals := make(map[string]string, keySpace)
 	for i := range keys {
-		keys[i] = spreadKey(i)
+		keys[i] = fmt.Sprintf("k%d", i)
 		vals[keys[i]] = fmt.Sprintf("val-%d-%s", i, strings.Repeat("x", 16))
 	}
 	var wg sync.WaitGroup
@@ -250,7 +310,7 @@ func TestConcurrentEvictionSingleFlight(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				k := keys[(g*31+i)%keySpace]
-				v, err := c.Do(k, func() (any, error) { return vals[k], nil })
+				v, _, err := c.Do(k, func() (any, error) { return vals[k], nil })
 				if err != nil {
 					t.Errorf("Do(%d): %v", i, err)
 					return

@@ -32,14 +32,11 @@ func FingerprintOf(d Device) string {
 
 // runCache memoizes whole executions keyed by systemKey. Runs are
 // immutable once executed (nothing in the engine writes a Run after
-// ExecuteCtx returns), so cached runs are shared, not copied. The L1
-// tier is bounded by FLM_CACHE_BUDGET with runCost (see runblob.go)
-// accounting the retained bytes of each run; the optional disk tier is
-// installed per process with SetRunCacheDir.
-var runCache = runcache.New(
-	runcache.WithCost(runCost),
-	runcache.WithMetrics("sim.run"),
-)
+// ExecuteCtx returns), so cached runs are shared, not copied. The
+// in-memory tier is one map bounded by FLM_CACHE_BUDGET, with runCost
+// (see runblob.go) accounting the retained bytes of each run; the
+// optional disk tier is installed per process with SetRunCacheDir.
+var runCache = runcache.New(runcache.WithCost(runCost))
 
 // RunCacheStats reports the execution cache's hit/miss counters.
 func RunCacheStats() runcache.Stats { return runCache.Stats() }

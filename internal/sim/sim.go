@@ -246,16 +246,31 @@ func ExecuteCtx(ctx context.Context, sys *System, rounds int, opts ExecuteOpts) 
 	if obs.Enabled() {
 		return executeCtxTraced(ctx, sys, rounds, opts)
 	}
-	if ctx.Done() == nil && runcache.Enabled() {
-		if key, ok := systemKey(sys, rounds, opts); ok {
-			v, err := runCache.Do(key, func() (any, error) {
-				return executeCore(ctx, sys, rounds, opts, key)
-			})
-			r, _ := v.(*Run)
-			return r, err
-		}
+	run, _, err := executeCached(ctx, sys, rounds, opts)
+	return run, err
+}
+
+// executeCached is ExecuteCtx's one cache dispatch: it serves the
+// execution from the run cache when the context cannot be cancelled, the
+// cache is enabled and every device is fingerprintable, and runs it
+// directly otherwise. served names how: a runcache.How ("miss", "hit",
+// "wait", "disk"), "bypass" (cancellable context or cache disabled) or
+// "uncacheable" (some device opted out of fingerprinting).
+func executeCached(ctx context.Context, sys *System, rounds int, opts ExecuteOpts) (run *Run, served string, err error) {
+	if ctx.Done() != nil || !runcache.Enabled() {
+		run, err = executeCore(ctx, sys, rounds, opts, "")
+		return run, "bypass", err
 	}
-	return executeCore(ctx, sys, rounds, opts, "")
+	key, ok := systemKey(sys, rounds, opts)
+	if !ok {
+		run, err = executeCore(ctx, sys, rounds, opts, "")
+		return run, "uncacheable", err
+	}
+	v, how, err := runCache.Do(key, func() (any, error) {
+		return executeCore(ctx, sys, rounds, opts, key)
+	})
+	run, _ = v.(*Run)
+	return run, how.String(), err
 }
 
 // executeCore is the actual executor; key (possibly empty) becomes the

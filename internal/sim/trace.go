@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"flm/internal/obs"
-	"flm/internal/runcache"
 )
 
 // Observability for the executor hot path. ExecuteCtx branches here on
@@ -57,12 +56,11 @@ func (a *asyncAcct) flush() {
 	mAsyncCollided.Add(a.collided)
 }
 
-// executeCtxTraced is ExecuteCtx's traced twin: same cache dispatch,
-// wrapped in a "sim.execute" span recording the system shape, how the
-// cache served the execution (hit / wait / disk / miss / bypass /
-// uncacheable),
-// the decision count, and — in full recording mode — the run's message
-// and byte totals from CollectStats.
+// executeCtxTraced is ExecuteCtx's traced twin: the same cache
+// dispatch, wrapped in a "sim.execute" span recording the system shape,
+// how the cache served the execution (hit / wait / disk / miss / bypass
+// / uncacheable), the decision count, and — in full recording mode —
+// the run's message and byte totals from CollectStats.
 //
 //flmlint:allow flmobscost reached only from ExecuteCtx's obs.Enabled() branch
 //flmlint:allow flmdeterminism wall clock feeds span timing only, never the Run
@@ -74,39 +72,18 @@ func executeCtxTraced(ctx context.Context, sys *System, rounds int, opts Execute
 		obs.Bool("snapshots", opts.RecordSnapshots),
 		obs.Bool("edges", opts.RecordEdges))
 
-	var (
-		run        *Run
-		err        error
-		cacheState = "bypass" // cancellable context or cache disabled
-		served     = false
-	)
-	if ctx.Done() == nil && runcache.Enabled() {
-		if key, ok := systemKey(sys, rounds, opts); ok {
-			var v any
-			var how runcache.How
-			v, how, err = runCache.DoHow(key, func() (any, error) {
-				return executeCore(ctx, sys, rounds, opts, key)
-			})
-			run, _ = v.(*Run)
-			served = true
-			cacheState = how.String() // miss / hit / wait / disk
-			switch how {
-			case runcache.Waited:
-				mCacheWait.Inc()
-			case runcache.Hit:
-				mCacheHit.Inc()
-			case runcache.DiskHit:
-				mCacheDisk.Inc()
-			default:
-				mCacheMiss.Inc()
-			}
-		} else {
-			cacheState = "uncacheable" // some device opted out of fingerprinting
-		}
-	}
-	if !served {
+	run, cacheState, err := executeCached(ctx, sys, rounds, opts)
+	switch cacheState {
+	case "hit":
+		mCacheHit.Inc()
+	case "wait":
+		mCacheWait.Inc()
+	case "disk":
+		mCacheDisk.Inc()
+	case "miss":
+		mCacheMiss.Inc()
+	default: // bypass or uncacheable
 		mCacheBypass.Inc()
-		run, err = executeCore(ctx, sys, rounds, opts, "")
 	}
 
 	sp.SetAttrs(obs.Str("cache", cacheState))

@@ -2,9 +2,9 @@ package weak
 
 import (
 	"fmt"
-	"math/big"
 	"sort"
 
+	"flm/internal/clockfn"
 	"flm/internal/graph"
 )
 
@@ -31,9 +31,9 @@ import (
 // arriving at a chosen time.
 type ZDMessage struct {
 	To      string
-	Value   string   // "" for a failure-notice message
-	Failure bool     // true: "failure detected, choose default"
-	Arrive  *big.Rat // requested arrival time (subject to MinDelay)
+	Value   string    // "" for a failure-notice message
+	Failure bool      // true: "failure detected, choose default"
+	Arrive  clockfn.Q // requested arrival time (subject to MinDelay)
 }
 
 // ZDStrategy scripts a faulty node: given its name and neighbors, it
@@ -50,7 +50,7 @@ type ZDResult struct {
 }
 
 type zdEvent struct {
-	at      *big.Rat
+	at      clockfn.Q
 	to      string
 	from    string
 	value   string
@@ -61,12 +61,12 @@ type zdEvent struct {
 // ZeroDelayRun executes footnote 4's algorithm on a complete graph with
 // the given Boolean inputs, scripted faulty nodes, and minimum delay
 // (zero for the footnote's idealized network).
-func ZeroDelayRun(g *graph.Graph, inputs map[string]string, faulty map[string]ZDStrategy, minDelay *big.Rat) (*ZDResult, error) {
-	if minDelay == nil || minDelay.Sign() < 0 {
+func ZeroDelayRun(g *graph.Graph, inputs map[string]string, faulty map[string]ZDStrategy, minDelay clockfn.Q) (*ZDResult, error) {
+	if minDelay.Sign() < 0 {
 		return nil, fmt.Errorf("weak: minimum delay must be a non-negative rational")
 	}
-	one := big.NewRat(1, 1)
-	half := big.NewRat(1, 2)
+	one := clockfn.NewQ(1, 1)
+	half := clockfn.NewQ(1, 2)
 
 	correct := make(map[string]bool, g.N())
 	for _, name := range g.Names() {
@@ -79,15 +79,15 @@ func ZeroDelayRun(g *graph.Graph, inputs map[string]string, faulty map[string]ZD
 	}
 
 	var events []zdEvent
-	clampedArrival := func(sentAt, requested *big.Rat) *big.Rat {
-		earliest := new(big.Rat).Add(sentAt, minDelay)
+	clampedArrival := func(sentAt, requested clockfn.Q) clockfn.Q {
+		earliest := sentAt.Add(minDelay)
 		if requested.Cmp(earliest) < 0 {
 			return earliest
 		}
-		return new(big.Rat).Set(requested)
+		return requested
 	}
 	// Correct nodes broadcast their value at time 0 to arrive at 1/2.
-	zero := new(big.Rat)
+	var zero clockfn.Q
 	for _, name := range g.Names() {
 		if !correct[name] {
 			continue
@@ -116,15 +116,15 @@ func ZeroDelayRun(g *graph.Graph, inputs map[string]string, faulty map[string]ZD
 			if !allowed[m.To] {
 				return nil, fmt.Errorf("weak: faulty %s scripts a message to non-neighbor %s", name, m.To)
 			}
-			if m.Arrive == nil || m.Arrive.Sign() < 0 {
-				return nil, fmt.Errorf("weak: faulty %s scripts a message with no arrival time", name)
+			if m.Arrive.Sign() < 0 {
+				return nil, fmt.Errorf("weak: faulty %s scripts a message arriving before time 0", name)
 			}
 			arrive := m.Arrive
 			if arrive.Cmp(minDelay) < 0 {
 				arrive = minDelay // cannot beat the minimum delay from time 0
 			}
 			events = append(events, zdEvent{
-				at: new(big.Rat).Set(arrive), to: m.To, from: name, value: m.Value, failure: m.Failure,
+				at: arrive, to: m.To, from: name, value: m.Value, failure: m.Failure,
 			})
 		}
 	}
@@ -133,13 +133,13 @@ func ZeroDelayRun(g *graph.Graph, inputs map[string]string, faulty map[string]ZD
 	// after that instant, leaving time to warn everyone (that is the
 	// footnote's point — and what a positive minimum delay destroys for
 	// anomalies that surface later).
-	auditAt := new(big.Rat).Set(half)
+	auditAt := half
 	if minDelay.Cmp(auditAt) > 0 {
-		auditAt.Set(minDelay)
+		auditAt = minDelay
 	}
-	auditAt.Add(auditAt, big.NewRat(1, 16))
+	auditAt = auditAt.Add(clockfn.NewQ(1, 16))
 	for name := range correct {
-		events = append(events, zdEvent{at: new(big.Rat).Set(auditAt), to: name, audit: true})
+		events = append(events, zdEvent{at: auditAt, to: name, audit: true})
 	}
 
 	anomaly := make(map[string]bool, len(correct))
@@ -152,8 +152,8 @@ func ZeroDelayRun(g *graph.Graph, inputs map[string]string, faulty map[string]ZD
 	// detect triggers a node's first anomaly at time t: it relays the
 	// failure notice to everyone, arriving at (1+t)/2 (clamped by the
 	// minimum delay).
-	var detect func(name string, t *big.Rat)
-	detect = func(name string, t *big.Rat) {
+	var detect func(name string, t clockfn.Q)
+	detect = func(name string, t clockfn.Q) {
 		if anomaly[name] {
 			return
 		}
@@ -162,8 +162,7 @@ func ZeroDelayRun(g *graph.Graph, inputs map[string]string, faulty map[string]ZD
 			return
 		}
 		relayed[name] = true
-		arrival := new(big.Rat).Add(one, t)
-		arrival.Quo(arrival, big.NewRat(2, 1))
+		arrival := one.Add(t).Quo(clockfn.NewQ(2, 1))
 		u := g.MustIndex(name)
 		for _, v := range g.Neighbors(u) {
 			events = append(events, zdEvent{

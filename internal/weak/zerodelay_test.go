@@ -2,15 +2,15 @@ package weak
 
 import (
 	"fmt"
-	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"flm/internal/clockfn"
 	"flm/internal/graph"
 )
 
-func rat(n, d int64) *big.Rat { return big.NewRat(n, d) }
+func rat(n, d int64) clockfn.Q { return clockfn.NewQ(n, d) }
 
 func boolInputsZD(g *graph.Graph, bits int) map[string]string {
 	m := make(map[string]string, g.N())
@@ -172,9 +172,6 @@ func TestMinimumDelayBreaksFootnoteFour(t *testing.T) {
 func TestZeroDelayValidation(t *testing.T) {
 	g := graph.Triangle()
 	inputs := map[string]string{"a": "1", "b": "1", "c": "1"}
-	if _, err := ZeroDelayRun(g, inputs, nil, nil); err == nil {
-		t.Error("nil delay accepted")
-	}
 	if _, err := ZeroDelayRun(g, inputs, nil, rat(-1, 2)); err == nil {
 		t.Error("negative delay accepted")
 	}
@@ -187,11 +184,11 @@ func TestZeroDelayValidation(t *testing.T) {
 	if _, err := ZeroDelayRun(g, inputs, map[string]ZDStrategy{"c": bad}, rat(0, 1)); err == nil {
 		t.Error("message to non-neighbor accepted")
 	}
-	noTime := func(self string, nbs []string) []ZDMessage {
-		return []ZDMessage{{To: nbs[0], Value: "1"}}
+	early := func(self string, nbs []string) []ZDMessage {
+		return []ZDMessage{{To: nbs[0], Value: "1", Arrive: rat(-1, 4)}}
 	}
-	if _, err := ZeroDelayRun(g, inputs, map[string]ZDStrategy{"c": noTime}, rat(0, 1)); err == nil {
-		t.Error("message without arrival time accepted")
+	if _, err := ZeroDelayRun(g, inputs, map[string]ZDStrategy{"c": early}, rat(0, 1)); err == nil {
+		t.Error("message arriving before time 0 accepted")
 	}
 }
 
